@@ -159,11 +159,13 @@ pub fn run() -> String {
     out.push_str(
         "Shape check: committed versions advance one per committed write \
          (serialised by the exclusive locks plus version check). Ablation \
-         finding: for single-object writes, no-wait needs *fewer* attempts \
-         than wait-die — a queued writer that finally gets the lock almost \
-         always finds its version stale and must retry anyway, so failing \
-         fast wins; wait-die's advantage belongs to multi-object \
-         transactions, which the paper's file suites do not need.\n",
+         finding: for single-object writes neither policy dominates — \
+         at moderate contention no-wait needs fewer attempts, because a \
+         queued writer that finally gets the lock usually finds its \
+         version stale and must retry anyway, but at the highest \
+         contention wait-die needs fewer; wait-die's clear advantage \
+         belongs to multi-object transactions, which the paper's file \
+         suites do not need.\n",
     );
     out
 }
