@@ -376,6 +376,33 @@ mod tests {
     }
 
     #[test]
+    fn explain_shows_both_reconfiguration_quorums() {
+        use wv_core::{QuorumSpec, VoteAssignment};
+        use wv_net::SiteId;
+        let mut h = topo::example_1(7);
+        h.enable_audit();
+        let (suite, client) = (h.suite_id(), h.default_client());
+        h.reconfigure_from(
+            client,
+            suite,
+            VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1)]),
+            QuorumSpec::new(1, 2),
+        )
+        .expect("reconfigure");
+        let audit = ingest(&h.take_audit_jsonl()).expect("audit jsonl").audit;
+        let ex = explain_report(&audit, None);
+        // The config object's quorum under the old assignment (site 0
+        // alone) and the contents' quorum under the new one (both sites).
+        let decisions: Vec<&str> = ex
+            .lines()
+            .filter(|l| l.contains(": reconfig_quorum by client"))
+            .collect();
+        assert_eq!(decisions.len(), 2, "{ex}");
+        assert!(ex.contains("  chose: s0\n"), "{ex}");
+        assert!(ex.contains("chose: s0, s1"), "{ex}");
+    }
+
+    #[test]
     fn chrome_export_is_valid_json_with_one_event_per_span() {
         let cap = capture();
         let spans = ingest(&cap.trace_jsonl).unwrap().spans;

@@ -1,6 +1,7 @@
 //! Client-side suite operations.
 //!
-//! A [`ClientNode`] coordinates reads, writes, and reconfigurations:
+//! A [`ClientNode`] coordinates reads, writes, transactions, and
+//! reconfigurations:
 //!
 //! * **Read**: version inquiries to every representative until `r` votes
 //!   answer; the highest version among the answers is current; contents
@@ -11,9 +12,15 @@
 //!   cheapest write quorum. The commit decision is logged durably before
 //!   any commit message leaves, so recovering participants always get a
 //!   correct answer to their decision probes (presumed abort otherwise).
+//! * **Transaction**: inquiry on every suite it touches, then one
+//!   two-phase commit installing each suite's next version at its write
+//!   quorum, atomically.
 //! * **Reconfigure**: the same write path aimed at the suite's config
 //!   object, installed under the *old* configuration's write quorum —
 //!   exactly the paper's rule for changing vote assignments online.
+//!
+//! Every mutation is an install set over one prepare builder: one quorum
+//! chooser (plan cache, health demotion, audit) and one prepare sender.
 //!
 //! Every attempt uses a fresh request id (so late responses from a dead
 //! attempt can never contaminate a live one) while keeping the operation's
@@ -33,7 +40,7 @@ use wv_txn::Vote;
 
 use crate::error::{OpError, OpKind};
 use crate::msg::{Msg, PrepareWrite, RefuseReason, ReqId};
-use crate::quorum::{cheapest_quorum, cheapest_quorum_presorted, QuorumSpec};
+use crate::quorum::{cheapest_quorum_presorted, QuorumSpec};
 use crate::suite::{config_object, data_object, SuiteConfig};
 use crate::votes::VoteAssignment;
 
@@ -329,14 +336,17 @@ enum Phase {
         /// The hedge target contacted for this leg, if the hedge fired.
         hedged: Option<SiteId>,
     },
+    /// A mutation's install set is out: waiting for every participant's
+    /// vote. `versions` holds the data version installed per suite.
     Prepare {
-        new_version: Version,
-        quorum: Vec<SiteId>,
+        versions: Vec<(ObjectId, Version)>,
+        participants: Vec<SiteId>,
         yes: BTreeSet<SiteId>,
     },
+    /// Commit decided, waiting for every participant's ack.
     CommitWait {
-        new_version: Version,
-        quorum: Vec<SiteId>,
+        versions: Vec<(ObjectId, Version)>,
+        participants: Vec<SiteId>,
         acked: BTreeSet<SiteId>,
         resends: u32,
     },
@@ -353,40 +363,22 @@ enum Phase {
     MultiInquire {
         per_suite: BTreeMap<ObjectId, BTreeMap<SiteId, Version>>,
     },
-    /// Transaction: prepares out to the participant union.
-    MultiPrepare {
-        versions: Vec<(ObjectId, Version)>,
-        participants: Vec<SiteId>,
-        yes: BTreeSet<SiteId>,
-    },
-    /// Transaction: commit decided, waiting for every participant's ack.
-    MultiCommit {
-        versions: Vec<(ObjectId, Version)>,
-        participants: Vec<SiteId>,
-        acked: BTreeSet<SiteId>,
-        resends: u32,
-    },
 }
 
 #[derive(Clone, Debug)]
 struct OpState {
     kind: OpKind,
     suite: ObjectId,
-    /// Value for writes.
-    payload: Option<Bytes>,
+    /// The `(suite, value)` pairs to install: one for a write, one per
+    /// suite for a transaction, none otherwise.
+    writes: Vec<(ObjectId, Bytes)>,
     /// Requested change for reconfigurations.
     change: Option<(VoteAssignment, QuorumSpec)>,
     /// The evolved config, decided when the prepare is built.
     new_config: Option<SuiteConfig>,
-    /// The per-suite values of a multi-suite transaction.
-    multi_payloads: Vec<(ObjectId, Bytes)>,
-    /// The per-site versions seen during a reconfiguration's inquiry, so
-    /// the prepare can bring stale new-quorum members current.
-    reconfig_versions: BTreeMap<SiteId, Version>,
-    /// The data version a reconfiguration re-publishes the contents at
-    /// (current + 1). The bump makes the reconfiguration conflict with —
-    /// and therefore serialise against — any concurrent data write.
-    reconfig_bump: Option<Version>,
+    /// The sites that answered a reconfiguration's inquiry; its prepare
+    /// chooses both write quorums among them once the contents arrive.
+    responders: Vec<SiteId>,
     started: SimTime,
     /// When the current attempt's inquiry went out; responses arriving
     /// during the inquiry phase are RTT samples relative to this.
@@ -400,6 +392,19 @@ struct OpState {
     phase: Phase,
     /// Span bookkeeping; `None` unless tracing is enabled.
     trace: Option<OpTrace>,
+}
+
+/// One suite a mutation installs, as its inquiry (and, for a
+/// reconfiguration, its contents fetch) left it.
+struct Survey {
+    suite: ObjectId,
+    /// The current data version; the install writes the next one.
+    current: Version,
+    /// The sites that answered the version inquiry.
+    responders: Vec<SiteId>,
+    /// The contents to install: the written value, or the current
+    /// contents a reconfiguration re-publishes.
+    value: Bytes,
 }
 
 /// Span bookkeeping for one traced operation. Lives inside [`OpState`] so
@@ -572,6 +577,16 @@ fn site_cost(costs: &[f64], site: SiteId) -> f64 {
     costs.get(site.index()).copied().unwrap_or(f64::MAX)
 }
 
+/// Sorts `sites` cheapest-first under `costs`, ties broken by site id.
+fn sort_by_cost(sites: &mut [SiteId], costs: &[f64]) {
+    sites.sort_by(|a, b| {
+        site_cost(costs, *a)
+            .partial_cmp(&site_cost(costs, *b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(b))
+    });
+}
+
 /// Seed salt for the load-balanced rotation cursor.
 const LB_SALT: u64 = 0x10AD_BA1A_7C3D_5EED;
 
@@ -607,12 +622,7 @@ fn current_holders(
         .filter(|(_, v)| **v == current)
         .map(|(s, _)| *s)
         .collect();
-    candidates.sort_by(|a, b| {
-        site_cost(costs, *a)
-            .partial_cmp(&site_cost(costs, *b))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
-    });
+    sort_by_cost(&mut candidates, costs);
     candidates
 }
 
@@ -1178,12 +1188,7 @@ impl ClientNode {
         }
         self.stats.plan_cache_misses += 1;
         let mut site_order = cfg.assignment.all_sites();
-        site_order.sort_by(|a, b| {
-            site_cost(&self.costs, *a)
-                .partial_cmp(&site_cost(&self.costs, *b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
+        sort_by_cost(&mut site_order, &self.costs);
         let site_order: Arc<[SiteId]> = Arc::from(site_order);
         self.plans.insert(
             suite,
@@ -1494,7 +1499,7 @@ impl ClientNode {
 
     /// Starts a quorum read. Returns the operation's first request id.
     pub fn start_read(&mut self, suite: ObjectId, ctx: &mut NodeCtx<'_, Msg>) -> ReqId {
-        self.start_op(OpKind::Read, suite, None, None, ctx)
+        self.start_op(OpKind::Read, suite, Vec::new(), None, ctx)
     }
 
     /// Starts a quorum write of `value`.
@@ -1504,7 +1509,7 @@ impl ClientNode {
         value: impl Into<Bytes>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> ReqId {
-        self.start_op(OpKind::Write, suite, Some(value.into()), None, ctx)
+        self.start_op(OpKind::Write, suite, vec![(suite, value.into())], None, ctx)
     }
 
     /// Starts a multi-suite atomic transaction: every `(suite, value)`
@@ -1523,41 +1528,8 @@ impl ClientNode {
                 "duplicate suite {suite} in transaction"
             );
         }
-        let req = self.fresh_req();
-        let started = ctx.now();
         let primary = writes[0].0;
-        if writes.iter().any(|(s, _)| !self.configs.contains_key(s)) {
-            self.completed.push(CompletedOp {
-                req,
-                kind: OpKind::Transaction,
-                suite: primary,
-                outcome: Err(OpError::UnknownSuite),
-                started,
-                finished: started,
-                attempts: 0,
-            });
-            return req;
-        }
-        let st = OpState {
-            kind: OpKind::Transaction,
-            suite: primary,
-            payload: None,
-            change: None,
-            new_config: None,
-            multi_payloads: writes,
-            reconfig_versions: BTreeMap::new(),
-            reconfig_bump: None,
-            started,
-            attempt_started: started,
-            attempts: 0,
-            lock_ts: req.counter(),
-            seq: 0,
-            phase: Phase::RefreshConfig, // placeholder; begin_attempt resets
-            trace: None,
-        };
-        self.ops.insert(req, st);
-        self.submit(req, ctx);
-        req
+        self.start_op(OpKind::Transaction, primary, writes, None, ctx)
     }
 
     /// Starts a reconfiguration to `(assignment, quorum)`.
@@ -1571,7 +1543,7 @@ impl ClientNode {
         self.start_op(
             OpKind::Reconfigure,
             suite,
-            None,
+            Vec::new(),
             Some((assignment, quorum)),
             ctx,
         )
@@ -1581,13 +1553,14 @@ impl ClientNode {
         &mut self,
         kind: OpKind,
         suite: ObjectId,
-        payload: Option<Bytes>,
+        writes: Vec<(ObjectId, Bytes)>,
         change: Option<(VoteAssignment, QuorumSpec)>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) -> ReqId {
         let req = self.fresh_req();
         let started = ctx.now();
-        if !self.configs.contains_key(&suite) {
+        let known = |s: &ObjectId| self.configs.contains_key(s);
+        if !known(&suite) || !writes.iter().all(|(s, _)| known(s)) {
             self.completed.push(CompletedOp {
                 req,
                 kind,
@@ -1602,12 +1575,10 @@ impl ClientNode {
         let st = OpState {
             kind,
             suite,
-            payload,
+            writes,
             change,
             new_config: None,
-            multi_payloads: Vec::new(),
-            reconfig_versions: BTreeMap::new(),
-            reconfig_bump: None,
+            responders: Vec::new(),
             started,
             attempt_started: started,
             attempts: 0,
@@ -1841,7 +1812,7 @@ impl ClientNode {
         };
         st.attempts += 1;
         st.seq += 1;
-        let suites: Vec<ObjectId> = st.multi_payloads.iter().map(|(s, _)| *s).collect();
+        let suites: Vec<ObjectId> = st.writes.iter().map(|(s, _)| *s).collect();
         st.phase = Phase::MultiInquire {
             per_suite: suites.iter().map(|s| (*s, BTreeMap::new())).collect(),
         };
@@ -1887,7 +1858,7 @@ impl ClientNode {
             self.enter_refresh(req, from, ctx);
             return;
         }
-        let ready = {
+        let surveys = {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
@@ -1898,158 +1869,30 @@ impl ClientNode {
                 return; // a suite this transaction does not touch
             };
             answers.insert(from, version);
-            per_suite.iter().all(|(s, answers)| {
+            let ready = per_suite.iter().all(|(s, answers)| {
                 let cfg = &self.configs[s];
                 let responders: Vec<SiteId> = answers.keys().copied().collect();
                 cfg.assignment.votes_in(&responders) >= cfg.quorum.read.max(cfg.quorum.write)
-            })
-        };
-        if ready {
-            self.enter_multi_prepare(req, ctx);
-        }
-    }
-
-    fn enter_multi_prepare(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
-        use std::collections::BTreeMap as Map;
-        // Pull the per-suite cached orders up front (they need `&mut self`,
-        // which the planning block below borrows immutably).
-        let touched: Vec<ObjectId> = {
-            let Some(st) = self.ops.get(&req) else {
+            });
+            if !ready {
                 return;
-            };
-            st.multi_payloads.iter().map(|(s, _)| *s).collect()
-        };
-        let mut orders: Map<ObjectId, Arc<[SiteId]>> = Map::new();
-        let mut cursors: Map<ObjectId, u64> = Map::new();
-        for suite in &touched {
-            if let Some(order) = self.decision_order(*suite) {
-                orders.insert(*suite, order);
-                cursors.insert(*suite, self.last_cursor);
             }
-        }
-        // Random ablation: one fresh cost draw covers the whole transaction,
-        // exactly as before the plan cache existed.
-        let costs = if orders.len() == touched.len() {
-            Vec::new()
-        } else {
-            self.effective_costs(ctx)
-        };
-        // Plan per-suite: new version and cheapest write quorum.
-        let plan = {
-            let Some(st) = self.ops.get(&req) else {
-                return;
-            };
-            let Phase::MultiInquire { per_suite } = &st.phase else {
-                return;
-            };
-            let mut plan: Vec<(ObjectId, Version, Vec<SiteId>, Bytes, u64)> = Vec::new();
-            for (suite, payload) in &st.multi_payloads {
-                let answers = &per_suite[suite];
-                let cfg = &self.configs[suite];
-                let current = answers.values().copied().max().unwrap_or(Version::INITIAL);
-                let strong: Vec<SiteId> = answers
-                    .keys()
-                    .copied()
-                    .filter(|s| cfg.assignment.votes_of(*s) > 0)
-                    .collect();
-                let quorum = match orders.get(suite) {
-                    Some(order) => {
-                        let in_order: Vec<SiteId> = order
-                            .iter()
-                            .copied()
-                            .filter(|s| strong.contains(s))
-                            .collect();
-                        cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &in_order)
-                    }
-                    None => cheapest_quorum(&cfg.assignment, cfg.quorum.write, &strong, |s| {
-                        site_cost(&costs, s)
-                    }),
-                };
-                let Some(quorum) = quorum else {
-                    return; // wait for more responders (threshold race)
-                };
-                plan.push((
-                    *suite,
-                    current.next(),
-                    quorum,
-                    payload.clone(),
-                    cfg.generation,
-                ));
-            }
-            plan
-        };
-        if self.audit.is_some() {
-            for (suite, _version, quorum, _payload, _generation) in &plan {
-                let considered: Vec<SiteId> = orders
-                    .get(suite)
-                    .map_or_else(|| quorum.clone(), |o| o.to_vec());
-                let cursor = cursors.get(suite).copied().unwrap_or(0);
-                self.audit_decision(
-                    DecisionKind::TxnQuorum,
-                    req,
-                    *suite,
-                    quorum,
-                    &considered,
-                    cursor,
-                    false,
-                    ctx.now(),
-                );
-            }
-        }
-        // Group the prepare entries per participant site.
-        let mut per_site: Map<SiteId, Vec<PrepareWrite>> = Map::new();
-        for (suite, version, quorum, value, generation) in &plan {
-            for site in quorum {
-                per_site.entry(*site).or_default().push(PrepareWrite {
-                    suite: *suite,
-                    object: data_object(*suite),
-                    version: *version,
+            // One install per suite, in the transaction's write order.
+            st.writes
+                .iter()
+                .map(|(s, value)| Survey {
+                    suite: *s,
+                    current: per_suite[s]
+                        .values()
+                        .copied()
+                        .max()
+                        .unwrap_or(Version::INITIAL),
+                    responders: per_suite[s].keys().copied().collect(),
                     value: value.clone(),
-                    generation: *generation,
-                });
-            }
-        }
-        let participants: Vec<SiteId> = per_site.keys().copied().collect();
-        let versions: Vec<(ObjectId, Version)> = plan.iter().map(|(s, v, ..)| (*s, *v)).collect();
-        let Some(st) = self.ops.get_mut(&req) else {
-            return;
+                })
+                .collect()
         };
-        st.seq += 1;
-        let seq = st.seq;
-        let lock_ts = st.lock_ts;
-        let home_suite = st.suite;
-        st.phase = Phase::MultiPrepare {
-            versions,
-            participants: participants.clone(),
-            yes: BTreeSet::new(),
-        };
-        if self.tracer.is_some() {
-            self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-            self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
-            for site in &participants {
-                self.trace_add_rpc(req, *site, ctx.now());
-            }
-        }
-        for (site, writes) in per_site {
-            self.note_load_at(site, home_suite, ctx.now());
-            ctx.send(
-                site,
-                Msg::Prepare {
-                    req,
-                    writes,
-                    lock_ts,
-                },
-            );
-        }
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
-            self.options.phase_timeout,
-            ctx,
-        );
+        self.enter_prepare(req, surveys, ctx);
     }
 
     /// Ends the current attempt with `err`, retrying if budget remains.
@@ -2177,20 +2020,16 @@ impl ClientNode {
             return;
         };
         // If a prepare was in flight, clean it up before refreshing.
-        match &st.phase {
-            Phase::Prepare { quorum, .. } => {
-                let suite = st.suite;
-                for site in quorum.clone() {
-                    ctx.send(site, Msg::Abort { suite, req });
-                }
+        if let Phase::Prepare { participants, .. } = &st.phase {
+            for &site in participants {
+                ctx.send(
+                    site,
+                    Msg::Abort {
+                        suite: st.suite,
+                        req,
+                    },
+                );
             }
-            Phase::MultiPrepare { participants, .. } => {
-                let suite = st.suite;
-                for site in participants.clone() {
-                    ctx.send(site, Msg::Abort { suite, req });
-                }
-            }
-            _ => {}
         }
         st.seq += 1;
         st.phase = Phase::RefreshConfig;
@@ -2248,10 +2087,7 @@ impl ClientNode {
                 current: Version,
                 candidates: Vec<SiteId>,
             },
-            ToPrepare {
-                current: Version,
-                responders: Vec<SiteId>,
-            },
+            ToPrepare(Survey),
         }
         let my_gen = self.configs.get(&suite).map_or(0, |c| c.generation);
         // A version answer arriving during the inquiry phase measures one
@@ -2349,10 +2185,12 @@ impl ClientNode {
                                 }
                             }
                         }
-                        OpKind::Write => Next::ToPrepare {
+                        OpKind::Write => Next::ToPrepare(Survey {
+                            suite,
                             current,
                             responders,
-                        },
+                            value: st.writes[0].1.clone(),
+                        }),
                         OpKind::Reconfigure => {
                             // The reconfiguration transaction also brings
                             // stale members of the *new* write quorum
@@ -2370,7 +2208,7 @@ impl ClientNode {
                             if !new_feasible {
                                 Next::Wait
                             } else {
-                                st.reconfig_versions = versions.clone();
+                                st.responders = responders;
                                 Next::ToFetch {
                                     current,
                                     candidates: holders(versions, current),
@@ -2432,13 +2270,7 @@ impl ClientNode {
                 self.settle_followers(suite, req, current, &candidates, ctx);
                 self.enter_fetch(req, suite, current, candidates, ctx)
             }
-            Next::ToPrepare {
-                current,
-                responders,
-            } => {
-                self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-                self.enter_prepare(req, suite, current, responders, ctx)
-            }
+            Next::ToPrepare(survey) => self.enter_prepare(req, vec![survey], ctx),
         }
     }
 
@@ -2454,12 +2286,18 @@ impl ClientNode {
         value: Bytes,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        if self
+        if let Some(st) = self
             .ops
             .get(&req)
-            .is_some_and(|st| st.kind == OpKind::Reconfigure)
+            .filter(|st| st.kind == OpKind::Reconfigure)
         {
-            self.enter_reconfig_prepare(req, suite, version, value, ctx);
+            let survey = Survey {
+                suite,
+                current: version,
+                responders: st.responders.clone(),
+                value,
+            };
+            self.enter_prepare(req, vec![survey], ctx);
             return;
         }
         let cfg = &self.configs[&suite];
@@ -2604,251 +2442,185 @@ impl ClientNode {
         );
     }
 
-    fn enter_prepare(
-        &mut self,
-        req: ReqId,
-        suite: ObjectId,
-        current: Version,
-        responders: Vec<SiteId>,
-        ctx: &mut NodeCtx<'_, Msg>,
-    ) {
-        // Build the prepare parameters from the op kind and the current
-        // configuration, then switch phase and fan out.
-        let cfg = self.configs[&suite].clone();
-        let (object, version, value) = {
-            let Some(st) = self.ops.get_mut(&req) else {
-                return;
-            };
-            debug_assert_eq!(st.kind, OpKind::Write, "only writes prepare here");
-            (
-                data_object(suite),
-                current.next(),
-                st.payload.clone().expect("write carries a payload"),
-            )
-        };
-        let new_config: Option<SuiteConfig> = None;
-        let strong_responders: Vec<SiteId> = responders
-            .iter()
-            .copied()
-            .filter(|s| cfg.assignment.votes_of(*s) > 0)
-            .collect();
-        let ranked = self
-            .decision_order(suite)
-            .map(|o| self.reorder_by_health(o));
-        let quorum = match &ranked {
-            Some(order) => {
-                // The cached plan already ranks every site; restricting it
-                // to the strong responders preserves the cost order (health
-                // reordering only moves suspected sites to the back), so
-                // the greedy prefix matches a fresh `cheapest_quorum` among
-                // the unsuspected sites exactly.
-                let in_order: Vec<SiteId> = order
-                    .iter()
-                    .copied()
-                    .filter(|s| strong_responders.contains(s))
-                    .collect();
-                cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &in_order)
-            }
-            None => {
-                let costs = self.effective_costs(ctx);
-                cheapest_quorum(&cfg.assignment, cfg.quorum.write, &strong_responders, |s| {
-                    site_cost(&costs, s)
-                })
-            }
-        };
-        let Some(quorum) = quorum else {
-            // Cannot happen once the vote threshold passed; be defensive.
-            return;
-        };
-        if self.audit.is_some() {
-            let considered: Vec<SiteId> = ranked
-                .as_deref()
-                .map_or_else(|| strong_responders.clone(), <[SiteId]>::to_vec);
-            let (cursor, rerouted) = (self.last_cursor, self.last_reroute);
-            self.audit_decision(
-                DecisionKind::WriteQuorum,
-                req,
-                suite,
-                &quorum,
-                &considered,
-                cursor,
-                rerouted,
-                ctx.now(),
-            );
-        }
-        let delay = self.phase_delay(&quorum);
-        let Some(st) = self.ops.get_mut(&req) else {
-            return;
-        };
-        st.new_config = new_config;
-        st.seq += 1;
-        let seq = st.seq;
-        let lock_ts = st.lock_ts;
-        st.phase = Phase::Prepare {
-            new_version: version,
-            quorum: quorum.clone(),
-            yes: BTreeSet::new(),
-        };
-        if self.tracer.is_some() {
-            self.trace_begin_phase(req, SpanKind::Prepare, ctx.now());
-            for site in &quorum {
-                self.trace_add_rpc(req, *site, ctx.now());
-            }
-        }
-        for site in &quorum {
-            self.note_load_at(*site, suite, ctx.now());
-            ctx.send(
-                *site,
-                Msg::Prepare {
-                    req,
-                    writes: vec![PrepareWrite {
-                        suite,
-                        object,
-                        version,
-                        value: value.clone(),
-                        generation: cfg.generation,
-                    }],
-                    lock_ts,
-                },
-            );
-        }
-        arm_timer(
-            &mut self.timers,
-            &mut self.next_timer,
-            req,
-            seq,
-            TimerKind::PhaseTimeout,
-            delay,
-            ctx,
-        );
-    }
-
-    /// Fans out a reconfiguration prepare: the new configuration goes to a
-    /// write quorum of the *old* configuration, and the current contents
-    /// are re-published one version up to that quorum plus the *new*
-    /// configuration's cheapest write quorum — one atomic batch per
-    /// participant, so after commit every new-config read quorum is
-    /// guaranteed a current representative, and the version bump makes
-    /// the whole transaction conflict with (and so serialise against)
-    /// any concurrent data write.
-    fn enter_reconfig_prepare(
-        &mut self,
-        req: ReqId,
-        suite: ObjectId,
-        current_version: Version,
-        current_value: Bytes,
-        ctx: &mut NodeCtx<'_, Msg>,
-    ) {
-        use std::collections::BTreeMap as Map;
+    /// Enters a mutation's two-phase-commit prepare. Every mutation is an
+    /// install set planned by one chooser ([`Self::choose_quorum`]) and sent
+    /// by one sender ([`Self::send_prepare`]): a write installs its suite's
+    /// next version at a write quorum, a transaction does so for every suite
+    /// it touches, and a reconfiguration installs the new configuration
+    /// object under the *old* write quorum plus the current contents
+    /// re-published one version up under the old and the new write quorums.
+    /// After commit every new-config read quorum therefore holds a current
+    /// representative, and the bump makes the reconfiguration conflict with
+    /// (and so serialise against) any concurrent data write: such a write
+    /// shares a representative with the old write quorum.
+    fn enter_prepare(&mut self, req: ReqId, surveys: Vec<Survey>, ctx: &mut NodeCtx<'_, Msg>) {
         self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-        let old_cfg = self.configs[&suite].clone();
-        // Reconfiguration bypasses the plan cache: it ranks sites under two
-        // assignments at once (the old one for the config quorum and the
-        // not-yet-adopted new one for the data copies), and committing it
-        // invalidates the plan anyway. Reconfigs are rare; the fresh sort
-        // is not on any hot path.
-        let costs = self.effective_costs(ctx);
-        // Build the new configuration.
-        let (new_cfg, inquiry_versions) = {
-            let Some(st) = self.ops.get_mut(&req) else {
-                return;
-            };
-            let (assignment, quorum) = st.change.clone().expect("reconfigure carries a change");
-            match old_cfg.evolve(assignment, quorum) {
-                Ok(next) => (next, st.reconfig_versions.clone()),
-                Err(e) => {
-                    self.complete(req, Err(OpError::IllegalConfig(e)), ctx);
-                    return;
+        let Some(st) = self.ops.get(&req) else {
+            return;
+        };
+        let (kind, change) = (st.kind, st.change.clone());
+        let decision = match kind {
+            OpKind::Transaction => DecisionKind::TxnQuorum,
+            OpKind::Reconfigure => DecisionKind::ReconfigQuorum,
+            OpKind::Read | OpKind::Write => DecisionKind::WriteQuorum,
+        };
+        // The random ablation draws fresh costs once per prepare.
+        let drawn =
+            (self.options.quorum_policy == QuorumPolicy::Random).then(|| self.effective_costs(ctx));
+        // Per participant, its install writes, in order of first appearance.
+        let mut batches: Vec<(SiteId, Vec<PrepareWrite>)> = Vec::new();
+        let mut installs = 0;
+        let mut install = |quorum: &[SiteId], write: PrepareWrite| {
+            installs += 1;
+            for &site in quorum {
+                match batches.iter_mut().find(|(s, _)| *s == site) {
+                    Some((_, writes)) => writes.push(write.clone()),
+                    None => batches.push((site, vec![write.clone()])),
                 }
             }
         };
-        let responders: Vec<SiteId> = inquiry_versions.keys().copied().collect();
-        // Old-config write quorum for the config object.
-        let old_strong: Vec<SiteId> = responders
+        let mut versions = Vec::with_capacity(surveys.len());
+        let mut new_config = None;
+        for Survey {
+            suite,
+            current,
+            responders,
+            value,
+        } in surveys
+        {
+            let cfg = self.configs[&suite].clone();
+            let next = match &change {
+                Some((assignment, quorum)) => match cfg.evolve(assignment.clone(), *quorum) {
+                    Ok(next) => Some(next),
+                    Err(e) => {
+                        self.complete(req, Err(OpError::IllegalConfig(e)), ctx);
+                        return;
+                    }
+                },
+                None => None,
+            };
+            let now = ctx.now();
+            let Some(mut quorum) =
+                self.choose_quorum(decision, req, &cfg, &responders, drawn.as_deref(), now)
+            else {
+                return; // defensive: the inquiry threshold already passed
+            };
+            if let Some(next) = next {
+                install(
+                    &quorum,
+                    PrepareWrite {
+                        suite,
+                        object: config_object(suite),
+                        version: Version(next.generation),
+                        value: Bytes::from(next.encode()),
+                        generation: cfg.generation,
+                    },
+                );
+                let Some(data_quorum) =
+                    self.choose_quorum(decision, req, &next, &responders, drawn.as_deref(), now)
+                else {
+                    // The responders cannot form a write quorum under the
+                    // new configuration; installing it would strand the
+                    // data. Retry when more sites answer.
+                    self.fail_attempt(req, OpError::Unavailable { kind }, ctx);
+                    return;
+                };
+                for site in data_quorum {
+                    if !quorum.contains(&site) {
+                        quorum.push(site);
+                    }
+                }
+                new_config = Some(next);
+            }
+            let version = current.next();
+            install(
+                &quorum,
+                PrepareWrite {
+                    suite,
+                    object: data_object(suite),
+                    version,
+                    value,
+                    generation: cfg.generation,
+                },
+            );
+            versions.push((suite, version));
+        }
+        // Each send draws a link latency, so send order is part of the
+        // deterministic contract. A lone install keeps its quorum's cost
+        // order; several installs merge quorums that share no single cost
+        // order, so their union goes out in site-id order.
+        if installs > 1 {
+            batches.sort_by_key(|(site, _)| *site);
+        }
+        if let Some(st) = self.ops.get_mut(&req) {
+            st.new_config = new_config;
+        }
+        self.send_prepare(req, batches, versions, ctx);
+    }
+
+    /// Chooses one install's write quorum under `cfg` among the strong
+    /// `responders`. Sites are ranked by the plan cache when `cfg` is the
+    /// suite's current configuration, and by a fresh sort of the prepare's
+    /// costs otherwise (the random ablation's draw, or a reconfiguration's
+    /// not-yet-adopted assignment). Suspected sites are then demoted, the
+    /// cheapest quorum is taken, and the choice is audited.
+    fn choose_quorum(
+        &mut self,
+        kind: DecisionKind,
+        req: ReqId,
+        cfg: &SuiteConfig,
+        responders: &[SiteId],
+        drawn: Option<&[f64]>,
+        now: SimTime,
+    ) -> Option<Vec<SiteId>> {
+        let suite = cfg.suite;
+        self.last_cursor = 0;
+        self.last_reroute = false;
+        let is_current = self.configs[&suite].generation == cfg.generation;
+        let cached = if is_current {
+            self.decision_order(suite)
+        } else {
+            None
+        };
+        let order = cached.unwrap_or_else(|| {
+            let mut sites = cfg.assignment.all_sites();
+            sort_by_cost(&mut sites, drawn.unwrap_or(&self.costs));
+            Arc::from(sites)
+        });
+        // Health reordering only moves suspected sites to the back, so the
+        // greedy prefix over the responders is the cheapest quorum among
+        // the unsuspected ones whenever they can form one.
+        let ranked = self.reorder_by_health(order);
+        let in_order: Vec<SiteId> = ranked
             .iter()
             .copied()
-            .filter(|s| old_cfg.assignment.votes_of(*s) > 0)
-            .collect();
-        let Some(config_quorum) = cheapest_quorum(
-            &old_cfg.assignment,
-            old_cfg.quorum.write,
-            &old_strong,
-            |s| site_cost(&costs, s),
-        ) else {
-            return; // defensive: threshold already passed
-        };
-        // New-config write quorum for the data copies.
-        let new_strong: Vec<SiteId> = new_cfg
-            .assignment
-            .strong_sites()
-            .into_iter()
             .filter(|s| responders.contains(s))
             .collect();
-        let Some(data_quorum) = cheapest_quorum(
-            &new_cfg.assignment,
-            new_cfg.quorum.write,
-            &new_strong,
-            |s| site_cost(&costs, s),
-        ) else {
-            // The responders cannot form a write quorum under the new
-            // configuration; installing it would strand the data. Fail the
-            // attempt and retry when more sites answer.
-            self.fail_attempt(
-                req,
-                OpError::Unavailable {
-                    kind: OpKind::Reconfigure,
-                },
-                ctx,
-            );
-            return;
-        };
-        // Assemble per-site batches.
-        let mut per_site: Map<SiteId, Vec<PrepareWrite>> = Map::new();
-        let config_bytes = Bytes::from(new_cfg.encode());
-        for site in &config_quorum {
-            per_site.entry(*site).or_default().push(PrepareWrite {
-                suite,
-                object: config_object(suite),
-                version: Version(new_cfg.generation),
-                value: config_bytes.clone(),
-                generation: old_cfg.generation,
-            });
-        }
-        // Re-publish the contents one version up, through the old write
-        // quorum *and* the new one. The bump is what serialises the
-        // reconfiguration against concurrent data writes: any such write
-        // shares a representative with the config quorum (old write
-        // quorums intersect), and whichever transaction loses the lock or
-        // the version race there retries against the winner's state. The
-        // old inquiry's per-site versions no longer matter — every
-        // participant gets the copy, and the server-side staleness check
-        // admits it everywhere because the version is fresh.
-        let bump = Version(current_version.0 + 1);
-        for site in config_quorum.iter().chain(data_quorum.iter()) {
-            let entry = per_site.entry(*site).or_default();
-            if entry.iter().any(|pw| pw.object == data_object(suite)) {
-                continue;
-            }
-            entry.push(PrepareWrite {
-                suite,
-                object: data_object(suite),
-                version: bump,
-                value: current_value.clone(),
-                generation: old_cfg.generation,
-            });
-        }
-        let participants: Vec<SiteId> = per_site.keys().copied().collect();
+        let quorum = cheapest_quorum_presorted(&cfg.assignment, cfg.quorum.write, &in_order)?;
+        let (cursor, rerouted) = (self.last_cursor, self.last_reroute);
+        self.audit_decision(kind, req, suite, &quorum, &ranked, cursor, rerouted, now);
+        Some(quorum)
+    }
+
+    /// Sends a mutation's prepares, each participant's install writes as
+    /// one batch, and waits for every vote.
+    fn send_prepare(
+        &mut self,
+        req: ReqId,
+        batches: Vec<(SiteId, Vec<PrepareWrite>)>,
+        versions: Vec<(ObjectId, Version)>,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        let participants: Vec<SiteId> = batches.iter().map(|(s, _)| *s).collect();
+        let delay = self.phase_delay(&participants);
         let Some(st) = self.ops.get_mut(&req) else {
             return;
         };
-        st.new_config = Some(new_cfg.clone());
-        st.reconfig_bump = Some(bump);
         st.seq += 1;
-        let seq = st.seq;
-        let lock_ts = st.lock_ts;
+        let (seq, lock_ts, suite) = (st.seq, st.lock_ts, st.suite);
         st.phase = Phase::Prepare {
-            new_version: Version(new_cfg.generation),
-            quorum: participants.clone(),
+            versions,
+            participants: participants.clone(),
             yes: BTreeSet::new(),
         };
         if self.tracer.is_some() {
@@ -2857,7 +2629,7 @@ impl ClientNode {
                 self.trace_add_rpc(req, *site, ctx.now());
             }
         }
-        for (site, writes) in per_site {
+        for (site, writes) in batches {
             self.note_load_at(site, suite, ctx.now());
             ctx.send(
                 site,
@@ -2874,7 +2646,7 @@ impl ClientNode {
             req,
             seq,
             TimerKind::PhaseTimeout,
-            self.options.phase_timeout,
+            delay,
             ctx,
         );
     }
@@ -3084,22 +2856,21 @@ impl ClientNode {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
-            let (quorum, yes) = match &mut st.phase {
-                Phase::Prepare { quorum, yes, .. } => (quorum, yes),
-                Phase::MultiPrepare {
-                    participants, yes, ..
-                } => (participants, yes),
-                _ => return,
+            let Phase::Prepare {
+                participants, yes, ..
+            } = &mut st.phase
+            else {
+                return;
             };
-            if !quorum.contains(&from) {
+            if !participants.contains(&from) {
                 Next::Ignore
             } else {
                 match vote {
-                    Vote::No => Next::AbortAll(quorum.clone()),
+                    Vote::No => Next::AbortAll(participants.clone()),
                     Vote::Yes => {
                         yes.insert(from);
-                        if yes.len() == quorum.len() {
-                            Next::Decided(quorum.clone())
+                        if yes.len() == participants.len() {
+                            Next::Decided(participants.clone())
                         } else {
                             Next::Ignore
                         }
@@ -3109,13 +2880,13 @@ impl ClientNode {
         };
         match next {
             Next::Ignore => {}
-            Next::AbortAll(quorum) => {
-                for site in quorum {
+            Next::AbortAll(participants) => {
+                for site in participants {
                     ctx.send(site, Msg::Abort { suite, req });
                 }
                 self.fail_attempt(req, OpError::Conflict, ctx);
             }
-            Next::Decided(quorum) => {
+            Next::Decided(participants) => {
                 // Decide commit — durably, *before* any commit message
                 // leaves, so decision probes always get the truth.
                 let tx = self.decisions.begin().expect("decision log is up");
@@ -3124,42 +2895,30 @@ impl ClientNode {
                     .expect("stage decision");
                 self.decisions.commit(tx).expect("commit decision");
                 self.decided_commit.insert(req);
-                let delay = self.phase_delay(&quorum);
+                let delay = self.phase_delay(&participants);
                 let seq = {
                     let st = self.ops.get_mut(&req).expect("op is live");
                     st.seq += 1;
-                    match &st.phase {
-                        Phase::Prepare { new_version, .. } => {
-                            let new_version = *new_version;
-                            st.phase = Phase::CommitWait {
-                                new_version,
-                                quorum: quorum.clone(),
-                                acked: BTreeSet::new(),
-                                resends: 0,
-                            };
-                        }
-                        Phase::MultiPrepare { versions, .. } => {
-                            let versions = versions.clone();
-                            st.phase = Phase::MultiCommit {
-                                versions,
-                                participants: quorum.clone(),
-                                acked: BTreeSet::new(),
-                                resends: 0,
-                            };
-                        }
-                        _ => unreachable!("checked above"),
-                    }
+                    let Phase::Prepare { versions, .. } = &mut st.phase else {
+                        unreachable!("checked above");
+                    };
+                    st.phase = Phase::CommitWait {
+                        versions: std::mem::take(versions),
+                        participants: participants.clone(),
+                        acked: BTreeSet::new(),
+                        resends: 0,
+                    };
                     st.seq
                 };
                 if self.tracer.is_some() {
                     self.trace_decision_logged(req, ctx.now());
                     self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
                     self.trace_begin_phase(req, SpanKind::Commit, ctx.now());
-                    for site in &quorum {
+                    for site in &participants {
                         self.trace_add_rpc(req, *site, ctx.now());
                     }
                 }
-                for site in &quorum {
+                for site in &participants {
                     ctx.send(*site, Msg::Commit { suite, req });
                 }
                 arm_timer(
@@ -3187,61 +2946,43 @@ impl ClientNode {
             return; // abort acks need no bookkeeping
         }
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, 1);
-        let finished = {
+        let (version, adopt, push, multi) = {
             let Some(st) = self.ops.get_mut(&req) else {
                 return;
             };
-            match &mut st.phase {
-                Phase::CommitWait {
-                    new_version,
-                    quorum,
-                    acked,
-                    ..
-                } => {
-                    if !quorum.contains(&from) {
-                        return;
-                    }
-                    acked.insert(from);
-                    if acked.len() == quorum.len() {
-                        let version = *new_version;
-                        let adopt = st.new_config.take();
-                        let push = self.options.push_weak_on_write && st.kind == OpKind::Write;
-                        let payload = st.payload.clone();
-                        // A reconfiguration reports the data version its
-                        // bump consumed via `multi`, so history checkers
-                        // can account for it.
-                        let multi = match (st.kind, st.reconfig_bump) {
-                            (OpKind::Reconfigure, Some(bump)) => vec![(st.suite, bump)],
-                            _ => Vec::new(),
-                        };
-                        Some((version, adopt, push, payload, multi))
-                    } else {
-                        None
-                    }
-                }
-                Phase::MultiCommit {
-                    versions,
-                    participants,
-                    acked,
-                    ..
-                } => {
-                    if !participants.contains(&from) {
-                        return;
-                    }
-                    acked.insert(from);
-                    if acked.len() == participants.len() {
-                        let versions = versions.clone();
-                        let version = versions[0].1;
-                        Some((version, None, false, None, versions))
-                    } else {
-                        None
-                    }
-                }
-                _ => return,
+            let Phase::CommitWait {
+                versions,
+                participants,
+                acked,
+                ..
+            } = &mut st.phase
+            else {
+                return;
+            };
+            if !participants.contains(&from) {
+                return;
             }
-        };
-        let Some((version, adopt, push, payload, multi)) = finished else {
-            return;
+            acked.insert(from);
+            if acked.len() < participants.len() {
+                return;
+            }
+            let adopt = st.new_config.take();
+            // A reconfiguration reports its new generation, a write or a
+            // transaction its (first) suite's new data version.
+            let version = adopt
+                .as_ref()
+                .map_or(versions[0].1, |c| Version(c.generation));
+            let push = (self.options.push_weak_on_write && st.kind == OpKind::Write)
+                .then(|| st.writes[0].1.clone());
+            // Transactions report every suite's version, and a
+            // reconfiguration the data version its bump consumed, so
+            // history checkers can account for them.
+            let multi = if st.kind == OpKind::Write {
+                Vec::new()
+            } else {
+                std::mem::take(versions)
+            };
+            (version, adopt, push, multi)
         };
         // Adopt the configuration this operation just installed, and drop
         // the quorum plan built against the superseded one.
@@ -3259,8 +3000,7 @@ impl ClientNode {
             }
         }
         // Optionally push the fresh value to weak representatives.
-        if push {
-            let value = payload.expect("write payload");
+        if let Some(value) = push {
             for site in self.configs[&suite].assignment.weak_sites() {
                 ctx.send(
                     site,
@@ -3371,15 +3111,7 @@ impl ClientNode {
                     }
                     (Next::NextCandidate, silent)
                 }
-                Phase::Prepare { quorum, yes, .. } => {
-                    let silent = quorum
-                        .iter()
-                        .copied()
-                        .filter(|s| !yes.contains(s))
-                        .collect();
-                    (Next::AbortAndFail(quorum.clone(), suite, st.kind), silent)
-                }
-                Phase::MultiPrepare {
+                Phase::Prepare {
                     participants, yes, ..
                 } => {
                     let silent = participants
@@ -3393,25 +3125,6 @@ impl ClientNode {
                     )
                 }
                 Phase::CommitWait {
-                    quorum,
-                    acked,
-                    resends,
-                    ..
-                } => {
-                    let missing: Vec<SiteId> = quorum
-                        .iter()
-                        .copied()
-                        .filter(|s| !acked.contains(s))
-                        .collect();
-                    if *resends >= self.options.commit_resend_limit {
-                        (Next::GiveUpIndeterminate, missing)
-                    } else {
-                        *resends += 1;
-                        st.seq += 1;
-                        (Next::ResendCommit(missing.clone(), suite, st.seq), missing)
-                    }
-                }
-                Phase::MultiCommit {
                     participants,
                     acked,
                     resends,
@@ -3514,9 +3227,10 @@ impl ClientNode {
                     }
                     RefuseReason::Disk => self.stats.refused_disk += 1,
                 }
-                let in_prepare = self.ops.get(&req).is_some_and(|st| {
-                    matches!(st.phase, Phase::Prepare { .. } | Phase::MultiPrepare { .. })
-                });
+                let in_prepare = self
+                    .ops
+                    .get(&req)
+                    .is_some_and(|st| matches!(st.phase, Phase::Prepare { .. }));
                 if in_prepare {
                     // A refused prepare is a no vote: the coordinator
                     // aborts the round and retries on a healthier quorum.
@@ -4910,5 +4624,168 @@ mod tests {
         );
         assert_eq!(c.stats.cache_hits, 0);
         assert!(c.cache.is_empty());
+    }
+
+    /// Delivers `msg` from `from` at `at_ms` and returns the sends and
+    /// timers it provoked.
+    #[allow(clippy::type_complexity)]
+    fn deliver(
+        c: &mut ClientNode,
+        rng: &mut DetRng,
+        at_ms: u64,
+        from: u16,
+        msg: Msg,
+    ) -> (Vec<(SiteId, Msg)>, Vec<(SimDuration, u64)>) {
+        let mut ctx = NodeCtx::new(SimTime::from_millis(at_ms), CLIENT, rng);
+        c.handle(SiteId(from), msg, &mut ctx);
+        split_effects(&mut ctx)
+    }
+
+    fn version_resp(suite: ObjectId, req: ReqId) -> Msg {
+        Msg::VersionResp {
+            suite,
+            req,
+            version: Version(0),
+            generation: 1,
+        }
+    }
+
+    /// The `(site, objects)` pairs of every prepare in `sends`.
+    fn prepare_batches(sends: &[(SiteId, Msg)]) -> Vec<(SiteId, Vec<ObjectId>)> {
+        sends
+            .iter()
+            .filter_map(|(to, m)| match m {
+                Msg::Prepare { writes, .. } => {
+                    Some((*to, writes.iter().map(|w| w.object).collect()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn transaction_prepares_route_around_a_suspected_site() {
+        const OTHER: ObjectId = ObjectId(2);
+        let other = SuiteConfig::new(
+            OTHER,
+            VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)]),
+            QuorumSpec::new(2, 2),
+        )
+        .expect("legal");
+        let mut c = ClientNode::new(
+            CLIENT,
+            vec![config(), other],
+            vec![10.0, 20.0, 30.0, 1.0],
+            ClientOptions {
+                health: Some(HealthOptions::default()),
+                ..ClientOptions::default()
+            },
+        );
+        c.enable_audit();
+        let mut rng = DetRng::new(31);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let req = c.start_transaction(
+            vec![
+                (SUITE, Bytes::from_static(b"a")),
+                (OTHER, Bytes::from_static(b"b")),
+            ],
+            &mut ctx,
+        );
+        // SUITE hears from every site; OTHER only from site 0 so far.
+        for s in 0..3 {
+            deliver(&mut c, &mut rng, 5, s, version_resp(SUITE, req));
+        }
+        deliver(&mut c, &mut rng, 5, 0, version_resp(OTHER, req));
+        // Site 0 falls under suspicion (other ops' timeouts), then site 1
+        // completes OTHER's quorum.
+        c.note_unanswered(&[SiteId(0)]);
+        c.note_unanswered(&[SiteId(0)]);
+        let (sends, timers) = deliver(&mut c, &mut rng, 6, 1, version_resp(OTHER, req));
+        // SUITE has a healthy quorum {1, 2} and avoids site 0; OTHER's
+        // responders {0, 1} leave no choice.
+        let suite_data = data_object(SUITE);
+        let other_data = data_object(OTHER);
+        assert_eq!(
+            prepare_batches(&sends),
+            vec![
+                (SiteId(0), vec![other_data]),
+                (SiteId(1), vec![suite_data, other_data]),
+                (SiteId(2), vec![suite_data]),
+            ]
+        );
+        // The prepare waits the adaptive timeout, not the fixed one.
+        let participants = [SiteId(0), SiteId(1), SiteId(2)];
+        assert_eq!(timers.len(), 1);
+        assert_eq!(timers[0].0, c.phase_delay(&participants));
+        assert!(timers[0].0 < c.options.phase_timeout);
+        // Audit records carry the real reroute flag.
+        let audit = c.take_audit();
+        let txn: Vec<(u64, bool, Vec<u16>)> = audit
+            .iter()
+            .filter(|r| r.kind == DecisionKind::TxnQuorum)
+            .map(|r| (r.suite, r.rerouted, r.chosen.clone()))
+            .collect();
+        assert_eq!(
+            txn,
+            vec![(SUITE.0, true, vec![1, 2]), (OTHER.0, true, vec![1, 0])]
+        );
+    }
+
+    #[test]
+    fn reconfiguration_prepares_route_around_a_suspected_site_and_are_audited() {
+        let mut c = health_client();
+        c.enable_audit();
+        let mut rng = DetRng::new(32);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        // Same votes, r=1/w=3: the new write quorum needs every site.
+        let req = c.start_reconfigure(
+            SUITE,
+            VoteAssignment::new([(SiteId(0), 1), (SiteId(1), 1), (SiteId(2), 1)]),
+            QuorumSpec::new(1, 3),
+            &mut ctx,
+        );
+        deliver(&mut c, &mut rng, 5, 0, version_resp(SUITE, req));
+        c.note_unanswered(&[SiteId(0)]);
+        c.note_unanswered(&[SiteId(0)]);
+        deliver(&mut c, &mut rng, 5, 1, version_resp(SUITE, req));
+        let (sends, _) = deliver(&mut c, &mut rng, 6, 2, version_resp(SUITE, req));
+        // The contents fetch skips the suspected site too.
+        assert!(sends
+            .iter()
+            .any(|(to, m)| *to == SiteId(1) && matches!(m, Msg::ReadReq { .. })));
+        let (sends, timers) = deliver(
+            &mut c,
+            &mut rng,
+            8,
+            1,
+            Msg::ReadResp {
+                suite: SUITE,
+                req,
+                version: Version(0),
+                value: Bytes::from_static(b"x"),
+            },
+        );
+        // The config object goes to the old write quorum {1, 2} around
+        // site 0; the bumped contents go to the new quorum, all sites.
+        let (cfg_obj, data) = (config_object(SUITE), data_object(SUITE));
+        assert_eq!(
+            prepare_batches(&sends),
+            vec![
+                (SiteId(0), vec![data]),
+                (SiteId(1), vec![cfg_obj, data]),
+                (SiteId(2), vec![cfg_obj, data]),
+            ]
+        );
+        let participants = [SiteId(0), SiteId(1), SiteId(2)];
+        let prepare_timer: Vec<SimDuration> = timers.iter().map(|t| t.0).collect();
+        assert_eq!(prepare_timer, vec![c.phase_delay(&participants)]);
+        assert!(prepare_timer[0] < c.options.phase_timeout);
+        let audit = c.take_audit();
+        let reconfig: Vec<(bool, Vec<u16>)> = audit
+            .iter()
+            .filter(|r| r.kind == DecisionKind::ReconfigQuorum)
+            .map(|r| (r.rerouted, r.chosen.clone()))
+            .collect();
+        assert_eq!(reconfig, vec![(true, vec![1, 2]), (true, vec![1, 2, 0])]);
     }
 }

@@ -39,18 +39,22 @@ pub enum DecisionKind {
     WriteQuorum,
     /// The per-suite site set assembled under a multi-suite transaction.
     TxnQuorum,
+    /// A reconfiguration's write quorum: under the old configuration for
+    /// the config object, or under the new one for the re-published data.
+    ReconfigQuorum,
 }
 
 impl DecisionKind {
     /// Every variant, in declaration order; [`DecisionKind::from_name`]
     /// searches this table (see `SpanKind::ALL` for the rationale).
-    pub const ALL: [DecisionKind; 6] = [
+    pub const ALL: [DecisionKind; 7] = [
         DecisionKind::OptimisticFetch,
         DecisionKind::FetchPlan,
         DecisionKind::Hedge,
         DecisionKind::FetchFailover,
         DecisionKind::WriteQuorum,
         DecisionKind::TxnQuorum,
+        DecisionKind::ReconfigQuorum,
     ];
 
     /// Stable lowercase name used in the JSONL form.
@@ -62,6 +66,7 @@ impl DecisionKind {
             DecisionKind::FetchFailover => "fetch_failover",
             DecisionKind::WriteQuorum => "write_quorum",
             DecisionKind::TxnQuorum => "txn_quorum",
+            DecisionKind::ReconfigQuorum => "reconfig_quorum",
         }
     }
 
