@@ -354,8 +354,8 @@ pub fn run_with(ops_per_client: usize) -> String {
         "Splitting the keyspace into 8 suites multiplies balanced-skew \
          aggregate throughput by **{primary:.1}×** on the {}-server \
          cluster (≥6× required: **{}**), and {secondary:.1}× on the \
-         {}-server cluster, whose wider w = {} write quorums pay more \
-         cross-replica lock conflicts per commit.\n\n",
+         {}-server cluster with its wider w = {} write quorums (context, \
+         not gated).\n\n",
         SERVER_COUNTS[0],
         if primary >= 6.0 { "yes" } else { "NO" },
         SERVER_COUNTS[1],

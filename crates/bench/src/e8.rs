@@ -159,11 +159,10 @@ pub fn run() -> String {
     out.push_str(
         "Shape check: committed versions advance one per committed write \
          (serialised by the exclusive locks plus version check). Ablation \
-         finding: for single-object writes neither policy dominates — \
-         at moderate contention no-wait needs fewer attempts, because a \
+         finding: for single-object writes wait-die buys nothing — \
+         no-wait needs no more attempts at any client count, because a \
          queued writer that finally gets the lock usually finds its \
-         version stale and must retry anyway, but at the highest \
-         contention wait-die needs fewer; wait-die's clear advantage \
+         version stale and must retry anyway; wait-die's clear advantage \
          belongs to multi-object transactions, which the paper's file \
          suites do not need.\n",
     );

@@ -335,13 +335,12 @@ pub fn run_with(trials: usize) -> String {
          rate, availability healing off → on: **{} → {}**; a quarantined \
          replica without anti-entropy stays vote-less until the end of \
          the trial, so the healing arm holds the availability line as \
-         the fault rate climbs. The non-zero p99 at rate 0 is \
-         reader–writer contention, not disk damage: a read issued while \
-         a write holds its prepare locks is refused busy everywhere and \
-         backs off, and the health-tracked arm reroutes around the \
-         locked replicas faster — that is why its tail sits lower at \
-         every rate, while the climb *within* each arm is the disk-fault \
-         signal.\n",
+         the fault rate climbs. The p99 at rate 0 is reader–writer \
+         contention, not disk damage: a read issued while a write holds \
+         its prepare locks waits at the locked replicas until the write \
+         commits or aborts. The climb *within* each arm is the \
+         disk-fault signal, and the health-tracked arm, which demotes \
+         damaged replicas, keeps the lower tail once faults start.\n",
         pct(top_off.availability()),
         pct(top_on.availability()),
     ));

@@ -269,8 +269,10 @@ pub struct ClientStats {
     /// Reads that coalesced onto another read's in-flight version inquiry
     /// for the same suite instead of fanning out their own `VersionReq`s.
     pub piggybacked_inquiries: u64,
-    /// `Busy` answers received (transient commit-lock conflicts; the
-    /// client retries the next candidate immediately).
+    /// `Busy` answers received: a content fetch met a commit lock (the
+    /// client tries the next candidate immediately). Version inquiries
+    /// are never refused this way; the server holds them until the lock
+    /// frees.
     pub refused_busy: u64,
     /// `Refused(Quarantined)` answers: the site surrendered its votes
     /// over disk corruption. Treated as long-dead — suspicion slams to
@@ -1812,11 +1814,19 @@ impl ClientNode {
         };
         st.attempts += 1;
         st.seq += 1;
+        st.attempt_started = ctx.now();
         let suites: Vec<ObjectId> = st.writes.iter().map(|(s, _)| *s).collect();
         st.phase = Phase::MultiInquire {
             per_suite: suites.iter().map(|s| (*s, BTreeMap::new())).collect(),
         };
         let seq = st.seq;
+        let touched: Vec<SiteId> = suites
+            .iter()
+            .flat_map(|s| self.configs[s].assignment.all_sites())
+            .collect::<BTreeSet<SiteId>>()
+            .into_iter()
+            .collect();
+        let delay = self.phase_delay(&touched);
         if self.tracer.is_some() {
             self.trace_begin_phase(req, SpanKind::Inquiry, ctx.now());
             for suite in &suites {
@@ -1836,7 +1846,7 @@ impl ClientNode {
             req,
             seq,
             TimerKind::PhaseTimeout,
-            self.options.phase_timeout,
+            delay,
             ctx,
         );
     }
@@ -1855,7 +1865,7 @@ impl ClientNode {
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, version.0);
         let my_gen = self.configs.get(&suite).map_or(0, |c| c.generation);
         if generation > my_gen {
-            self.enter_refresh(req, from, ctx);
+            self.enter_refresh(req, suite, from, ctx);
             return;
         }
         let surveys = {
@@ -2011,7 +2021,16 @@ impl ClientNode {
         }
     }
 
-    fn enter_refresh(&mut self, req: ReqId, ask: SiteId, ctx: &mut NodeCtx<'_, Msg>) {
+    /// Leaves the current phase to fetch `suite`'s configuration from
+    /// `ask`, which reported a newer generation for it. For a transaction
+    /// that may be any suite it touches, not just its first.
+    fn enter_refresh(
+        &mut self,
+        req: ReqId,
+        suite: ObjectId,
+        ask: SiteId,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
         // A coalesced-inquiry leader that leaves for a config refresh
         // hands its followers back to fresh attempts first.
         self.leader_abandoned(req, ctx);
@@ -2033,7 +2052,6 @@ impl ClientNode {
         }
         st.seq += 1;
         st.phase = Phase::RefreshConfig;
-        let suite = st.suite;
         let seq = st.seq;
         ctx.send(ask, Msg::ConfigReq { suite, req });
         arm_timer(
@@ -2090,17 +2108,6 @@ impl ClientNode {
             ToPrepare(Survey),
         }
         let my_gen = self.configs.get(&suite).map_or(0, |c| c.generation);
-        // A version answer arriving during the inquiry phase measures one
-        // round trip; feed it to the health tracker.
-        if let Some(st) = self.ops.get(&req) {
-            if matches!(st.phase, Phase::Inquire { .. }) {
-                let rtt = ctx.now().since(st.attempt_started);
-                self.note_rtt(from, rtt.as_millis_f64());
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.note_rtt(from.0, rtt, ctx.now());
-                }
-            }
-        }
         self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, version.0);
         // Fetch-candidate ranking is only needed on paths that fetch
         // (reads and reconfigurations); writes rank sites in `enter_prepare`.
@@ -2224,7 +2231,7 @@ impl ClientNode {
         };
         match next {
             Next::Wait => {}
-            Next::Refresh => self.enter_refresh(req, from, ctx),
+            Next::Refresh => self.enter_refresh(req, suite, from, ctx),
             Next::EarlyHit {
                 source,
                 version,
@@ -3190,10 +3197,20 @@ impl ClientNode {
                 version,
                 generation,
             } => {
-                if matches!(
-                    self.ops.get(&req).map(|st| &st.phase),
-                    Some(Phase::MultiInquire { .. })
-                ) {
+                // A version answer arriving during an inquiry phase
+                // measures one round trip; feed it to the health tracker.
+                let Some(st) = self.ops.get(&req) else {
+                    return;
+                };
+                let multi = matches!(st.phase, Phase::MultiInquire { .. });
+                if multi || matches!(st.phase, Phase::Inquire { .. }) {
+                    let rtt = ctx.now().since(st.attempt_started);
+                    self.note_rtt(from, rtt.as_millis_f64());
+                    if let Some(t) = self.telemetry.as_mut() {
+                        t.note_rtt(from.0, rtt, ctx.now());
+                    }
+                }
+                if multi {
                     self.on_multi_version_resp(from, suite, req, version, generation, ctx);
                 } else {
                     self.on_version_resp(from, suite, req, version, generation, ctx);
@@ -3248,7 +3265,7 @@ impl ClientNode {
                 req,
                 committed,
             } => self.on_ack(from, suite, req, committed, ctx),
-            Msg::StaleConfig { req, .. } => self.enter_refresh(req, from, ctx),
+            Msg::StaleConfig { suite, req, .. } => self.enter_refresh(req, suite, from, ctx),
             Msg::ConfigResp { suite, req, config } => self.on_config_resp(suite, req, config, ctx),
             Msg::DecisionReq { suite, req } => {
                 // Presumed abort: only a durably logged commit answers yes,
@@ -4729,6 +4746,51 @@ mod tests {
             txn,
             vec![(SUITE.0, true, vec![1, 2]), (OTHER.0, true, vec![1, 0])]
         );
+    }
+
+    #[test]
+    fn transaction_inquiry_waits_the_adaptive_timeout_over_every_touched_site() {
+        const OTHER: ObjectId = ObjectId(2);
+        let on = |suite, sites: [u16; 2]| {
+            SuiteConfig::new(
+                suite,
+                VoteAssignment::new(sites.map(|s| (SiteId(s), 1))),
+                QuorumSpec::new(1, 2),
+            )
+            .expect("legal")
+        };
+        let mut c = ClientNode::new(
+            CLIENT,
+            vec![on(SUITE, [0, 1]), on(OTHER, [1, 2])],
+            vec![10.0, 20.0, 30.0, 1.0],
+            ClientOptions {
+                health: Some(HealthOptions::default()),
+                ..ClientOptions::default()
+            },
+        );
+        let mut rng = DetRng::new(33);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let req = c.start_transaction(
+            vec![
+                (SUITE, Bytes::from_static(b"a")),
+                (OTHER, Bytes::from_static(b"b")),
+            ],
+            &mut ctx,
+        );
+        let (_, timers) = split_effects(&mut ctx);
+        // Site 2 (EWMA seed 60 ms) is touched only by the second suite,
+        // and it sets the inquiry's timeout: 6 x 60 ms, not the primary
+        // suite's clamped 300 ms nor the fixed 5 s.
+        assert_eq!(timers.len(), 1);
+        assert_eq!(timers[0].0, SimDuration::from_millis(360));
+        assert_eq!(
+            timers[0].0,
+            c.phase_delay(&[SiteId(0), SiteId(1), SiteId(2)])
+        );
+        // A transaction's version answer is an RTT sample like a single
+        // operation's: 0.3 x 10 ms + 0.7 x 60 ms.
+        deliver(&mut c, &mut rng, 10, 2, version_resp(OTHER, req));
+        assert!((c.health[2].rtt_ms - 45.0).abs() < 1e-9);
     }
 
     #[test]

@@ -74,7 +74,9 @@ pub enum RefuseReason {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     // ---- version inquiry (the cheap "check the version number" round) ----
-    /// Client asks a representative for its current version number.
+    /// Client asks a representative for its current version number. A
+    /// representative whose copy is commit-locked holds the answer until
+    /// the lock frees.
     VersionReq {
         /// Suite being read.
         suite: ObjectId,
@@ -113,7 +115,8 @@ pub enum Msg {
         /// The contents.
         value: Bytes,
     },
-    /// The object is commit-locked by an in-flight write; retry shortly.
+    /// The object is commit-locked by an in-flight write, so a content
+    /// read is turned away; fetch from another current holder.
     Busy {
         /// The suite that was busy.
         suite: ObjectId,

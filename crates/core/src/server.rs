@@ -39,7 +39,9 @@ pub struct ServerStats {
     pub inquiries: u64,
     /// Content reads served.
     pub reads: u64,
-    /// Reads turned away because the object was commit-locked.
+    /// Content reads turned away because the object was commit-locked.
+    /// Version inquiries are never turned away: they wait for the lock
+    /// (see [`SuiteServer::handle`]).
     pub busy: u64,
     /// Prepares received.
     pub prepares: u64,
@@ -184,6 +186,11 @@ pub struct SuiteServer {
     telemetry: Option<wv_sim::TelemetryHub>,
     /// Open lock-wait spans of queued prepares, keyed like `waiting`.
     waiting_spans: HashMap<TxToken, SpanId>,
+    /// Version inquiries `(from, req)` that met an exclusive holder on
+    /// their suite's data object, per suite in arrival order. Each is
+    /// answered once no exclusive holder remains; volatile, so a crash
+    /// drops them and the client's phase timeout covers the loss.
+    parked: BTreeMap<ObjectId, Vec<(SiteId, ReqId)>>,
     /// Group-commit sync latency; `None` (the default) flushes every
     /// prepare and commit inline, byte-identical to the classic path.
     group_commit: Option<SimDuration>,
@@ -262,6 +269,7 @@ impl SuiteServer {
             tracer: None,
             telemetry: None,
             waiting_spans: HashMap::new(),
+            parked: BTreeMap::new(),
             group_commit: None,
             sync_active: false,
             sync_queue: Vec::new(),
@@ -764,7 +772,8 @@ impl SuiteServer {
         // Apply commit decisions before the flush so their Commit records
         // ride the same durable write as the batch's Prepare records. The
         // commit locks stay held until after the flush: reads keep
-        // answering Busy, so no observer sees un-durable state.
+        // answering Busy and inquiries stay parked, so no observer sees
+        // un-durable state.
         let mut unlocks = Vec::new();
         for d in &batch {
             let Deferred::Commit { req, .. } = d else {
@@ -1004,9 +1013,56 @@ impl SuiteServer {
         }
     }
 
-    /// Handles one protocol message. Exposed so composite nodes can
-    /// delegate.
+    /// Answers a version inquiry from committed state.
+    fn answer_inquiry(
+        &mut self,
+        from: SiteId,
+        suite: ObjectId,
+        req: ReqId,
+        ctx: &mut NodeCtx<'_, Msg>,
+    ) {
+        self.note_serving();
+        self.stats.inquiries += 1;
+        ctx.send(
+            from,
+            Msg::VersionResp {
+                suite,
+                req,
+                version: self.data_version(suite),
+                generation: self.generation_of(suite),
+            },
+        );
+    }
+
+    /// Answers the parked inquiries of every suite that no longer has an
+    /// exclusive holder, with the then-current version and generation.
+    /// Runs after every message and timer, so it also sees locks released
+    /// by a group-commit sync.
+    fn answer_parked(&mut self, ctx: &mut NodeCtx<'_, Msg>) {
+        if self.parked.is_empty() {
+            return;
+        }
+        let freed: Vec<ObjectId> = self
+            .parked
+            .keys()
+            .copied()
+            .filter(|&suite| self.locks.exclusive_holder(data_object(suite)).is_none())
+            .collect();
+        for suite in freed {
+            for (from, req) in self.parked.remove(&suite).unwrap_or_default() {
+                self.answer_inquiry(from, suite, req, ctx);
+            }
+        }
+    }
+
+    /// Handles one protocol message, then answers any parked inquiry it
+    /// freed. Exposed so composite nodes can delegate.
     pub fn handle(&mut self, from: SiteId, msg: Msg, ctx: &mut NodeCtx<'_, Msg>) {
+        self.dispatch(from, msg, ctx);
+        self.answer_parked(ctx);
+    }
+
+    fn dispatch(&mut self, from: SiteId, msg: Msg, ctx: &mut NodeCtx<'_, Msg>) {
         match msg {
             Msg::VersionReq { suite, req } => {
                 // A quarantined replica's committed state may have
@@ -1029,26 +1085,15 @@ impl SuiteServer {
                 // assemble a quorum that misses a decided write. Across a
                 // reconfiguration that is fatal: the re-publication may be
                 // in doubt at exactly the representative bridging the old
-                // and new quorum geometries. Refuse, as ReadReq does — in
-                // the paper, obtaining a version number and setting the
-                // read lock are one step.
+                // and new quorum geometries. In the paper, obtaining a
+                // version number and setting the read lock are one step,
+                // and a read lock waits behind a write lock: park the
+                // inquiry until the holder commits or aborts.
                 if self.locks.exclusive_holder(data_object(suite)).is_some() {
-                    self.stats.busy += 1;
-                    ctx.send(from, Msg::Busy { suite, req });
+                    self.parked.entry(suite).or_default().push((from, req));
                     return;
                 }
-                self.note_serving();
-                self.stats.inquiries += 1;
-                let version = self.data_version(suite);
-                ctx.send(
-                    from,
-                    Msg::VersionResp {
-                        suite,
-                        req,
-                        version,
-                        generation: self.generation_of(suite),
-                    },
-                );
+                self.answer_inquiry(from, suite, req, ctx);
             }
             Msg::ReadReq { suite, req } => {
                 if self.quarantined {
@@ -1400,9 +1445,15 @@ impl SuiteServer {
         }
     }
 
-    /// Timer callback: an anti-entropy tick (tagged tokens) or a probe of
-    /// the coordinator about an unresolved prepared write.
+    /// Timer callback: an anti-entropy tick (tagged tokens), a group-commit
+    /// sync, or a probe of the coordinator about an unresolved prepared
+    /// write; then answers any parked inquiry a sync freed.
     pub fn handle_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_, Msg>) {
+        self.dispatch_timer(token, ctx);
+        self.answer_parked(ctx);
+    }
+
+    fn dispatch_timer(&mut self, token: u64, ctx: &mut NodeCtx<'_, Msg>) {
         if token & REPAIR_TIMER_TAG != 0 {
             // Stale epochs — ticks armed before a crash or a stop — die
             // here without rearming.
@@ -1444,6 +1495,7 @@ impl SuiteServer {
         // Lock-wait spans of the cleared queue stay open in the record;
         // an open span at a crashed site is itself evidence.
         self.waiting_spans.clear();
+        self.parked.clear();
         self.configs.clear();
         // Orphan any in-flight repair tick; recovery arms a fresh epoch.
         self.repair_epoch += 1;
@@ -1646,6 +1698,23 @@ mod tests {
         }
     }
 
+    fn inquiry(n: u64) -> Msg {
+        Msg::VersionReq {
+            suite: SUITE,
+            req: req(n),
+        }
+    }
+
+    /// The version answers among `out`, as (request, version).
+    fn version_answers(out: &[(SiteId, Msg)]) -> Vec<(ReqId, Version)> {
+        out.iter()
+            .filter_map(|(_, m)| match m {
+                Msg::VersionResp { req, version, .. } => Some((*req, *version)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn version_inquiry_answers_initial_state() {
         let mut s = server();
@@ -1755,22 +1824,17 @@ mod tests {
         let out = sent(&mut ctx);
         assert!(matches!(&out[0].1, Msg::Busy { .. }));
         assert_eq!(s.stats.busy, 1);
-        // Version inquiries are turned away too: the committed version is
-        // about to be superseded, and serving it would let a reader build
-        // a quorum that misses the staged write (fatal across a
-        // reconfiguration, where quorum geometry changes underneath it).
+        // Version inquiries are not answered while the lock is held: the
+        // committed version is about to be superseded, and serving it
+        // would let a reader build a quorum that misses the staged write
+        // (fatal across a reconfiguration, where quorum geometry changes
+        // underneath it). They wait for the lock instead of being refused.
         let mut ctx = ctx_pair(&mut rng);
-        s.handle(
-            CLIENT,
-            Msg::VersionReq {
-                suite: SUITE,
-                req: req(3),
-            },
-            &mut ctx,
-        );
-        assert!(matches!(&sent(&mut ctx)[0].1, Msg::Busy { .. }));
-        assert_eq!(s.stats.busy, 2);
-        // After abort the read proceeds.
+        s.handle(CLIENT, inquiry(3), &mut ctx);
+        assert!(sent(&mut ctx).is_empty(), "the inquiry is parked");
+        assert_eq!(s.stats.busy, 1);
+        // The abort frees the lock: the parked inquiry is answered once,
+        // with the pre-write version, and the read proceeds.
         let mut ctx = ctx_pair(&mut rng);
         s.handle(
             CLIENT,
@@ -1780,7 +1844,7 @@ mod tests {
             },
             &mut ctx,
         );
-        let _ = sent(&mut ctx);
+        assert_eq!(version_answers(&sent(&mut ctx)), vec![(req(3), Version(0))]);
         let mut ctx = ctx_pair(&mut rng);
         s.handle(
             CLIENT,
@@ -1791,6 +1855,140 @@ mod tests {
             &mut ctx,
         );
         assert!(matches!(&sent(&mut ctx)[0].1, Msg::ReadResp { .. }));
+    }
+
+    #[test]
+    fn parked_inquiry_is_answered_once_with_the_new_version_after_commit() {
+        let mut s = server();
+        let mut rng = DetRng::new(90);
+        let r = req(1);
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(CLIENT, prepare_msg(r, 1, b"new"), &mut ctx);
+        s.handle(CLIENT, inquiry(2), &mut ctx);
+        let out = sent(&mut ctx);
+        assert_eq!(out.len(), 1, "only the vote leaves");
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(
+            CLIENT,
+            Msg::Commit {
+                suite: SUITE,
+                req: r,
+            },
+            &mut ctx,
+        );
+        let out = sent(&mut ctx);
+        assert!(matches!(
+            &out[0].1,
+            Msg::Ack {
+                committed: true,
+                ..
+            }
+        ));
+        assert_eq!(version_answers(&out), vec![(req(2), Version(1))]);
+        // Answered exactly once: later traffic finds nothing parked.
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(CLIENT, inquiry(3), &mut ctx);
+        assert_eq!(version_answers(&sent(&mut ctx)), vec![(req(3), Version(1))]);
+        assert_eq!(s.stats.inquiries, 2);
+        assert_eq!(s.stats.busy, 0);
+    }
+
+    #[test]
+    fn parked_inquiry_is_answered_with_the_old_version_after_abort() {
+        let mut s = server();
+        let mut rng = DetRng::new(91);
+        install(&mut s, 1, b"one");
+        let r = req(1);
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(CLIENT, prepare_msg(r, 2, b"two"), &mut ctx);
+        s.handle(CLIENT, inquiry(2), &mut ctx);
+        s.handle(CLIENT, inquiry(3), &mut ctx);
+        assert!(version_answers(&sent(&mut ctx)).is_empty());
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(
+            CLIENT,
+            Msg::Abort {
+                suite: SUITE,
+                req: r,
+            },
+            &mut ctx,
+        );
+        // Both parked inquiries leave, in arrival order, at the version
+        // the aborted write would have superseded.
+        assert_eq!(
+            version_answers(&sent(&mut ctx)),
+            vec![(req(2), Version(1)), (req(3), Version(1))]
+        );
+    }
+
+    #[test]
+    fn parked_inquiry_stays_parked_when_another_writer_takes_the_lock() {
+        let mut s = server();
+        let mut rng = DetRng::new(92);
+        let younger = req(5);
+        let older = req(1); // smaller counter = older: it queues
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(CLIENT, prepare_msg(younger, 1, b"one"), &mut ctx);
+        s.handle(CLIENT, prepare_msg(older, 2, b"two"), &mut ctx);
+        s.handle(CLIENT, inquiry(7), &mut ctx);
+        let _ = sent(&mut ctx);
+        // The commit hands the lock straight to the queued writer, so the
+        // inquiry still meets an exclusive holder when the drain runs.
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(
+            CLIENT,
+            Msg::Commit {
+                suite: SUITE,
+                req: younger,
+            },
+            &mut ctx,
+        );
+        let out = sent(&mut ctx);
+        assert!(out.iter().any(|(_, m)| matches!(
+            m,
+            Msg::PrepareVote { vote: Vote::Yes, req, .. } if *req == older
+        )));
+        assert!(version_answers(&out).is_empty(), "still parked");
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(
+            CLIENT,
+            Msg::Commit {
+                suite: SUITE,
+                req: older,
+            },
+            &mut ctx,
+        );
+        assert_eq!(version_answers(&sent(&mut ctx)), vec![(req(7), Version(2))]);
+    }
+
+    #[test]
+    fn parked_inquiry_is_never_answered_after_a_crash() {
+        let mut s = server();
+        let mut rng = DetRng::new(93);
+        let r = req(1);
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(CLIENT, prepare_msg(r, 1, b"x"), &mut ctx);
+        s.handle(CLIENT, inquiry(2), &mut ctx);
+        let _ = sent(&mut ctx);
+        s.handle_crash();
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_recover(&mut ctx);
+        let _ = sent(&mut ctx);
+        // The prepare was durable, so recovery re-locks it in doubt; its
+        // resolution frees the lock, but the parked inquiry died with the
+        // crash and the client's phase timeout covers it.
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(
+            CLIENT,
+            Msg::Commit {
+                suite: SUITE,
+                req: r,
+            },
+            &mut ctx,
+        );
+        assert!(version_answers(&sent(&mut ctx)).is_empty());
+        assert_eq!(s.data_version(SUITE), Version(1));
+        assert_eq!(s.stats.inquiries, 0);
     }
 
     #[test]
@@ -2502,6 +2700,41 @@ mod tests {
             &out[0].1,
             Msg::ReadResp { version, .. } if *version == Version(1)
         ));
+    }
+
+    #[test]
+    fn parked_inquiry_waits_for_the_sync_that_releases_the_lock() {
+        let mut s = gc_server();
+        let mut rng = DetRng::new(94);
+        let r = req(1);
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(CLIENT, prepare_msg(r, 1, b"x"), &mut ctx);
+        s.handle(CLIENT, inquiry(2), &mut ctx);
+        assert!(sent(&mut ctx).is_empty());
+        // The vote's sync does not free the lock.
+        let out = fire_sync(&mut s, &mut rng);
+        assert!(version_answers(&out).is_empty());
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(
+            CLIENT,
+            Msg::Commit {
+                suite: SUITE,
+                req: r,
+            },
+            &mut ctx,
+        );
+        assert!(sent(&mut ctx).is_empty(), "apply and ack await the sync");
+        // The commit's sync makes the install durable, releases the lock,
+        // and only then answers the inquiry, after the ack.
+        let out = fire_sync(&mut s, &mut rng);
+        assert!(matches!(
+            &out[0].1,
+            Msg::Ack {
+                committed: true,
+                ..
+            }
+        ));
+        assert_eq!(version_answers(&out), vec![(req(2), Version(1))]);
     }
 
     #[test]

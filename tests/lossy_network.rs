@@ -79,11 +79,15 @@ fn duplication_dialed_in_mid_run_never_double_applies_a_write() {
     // campaign's `Duplication` event) while writes are in flight, then
     // off again. Every acknowledged write must consume exactly one
     // version — a double-applied prepare or commit would show up as a
-    // version skip — and the final contents must be the last payload.
+    // version skip — and the final contents must be the payload of the
+    // write acknowledged at the highest version. The writes of a burst
+    // overlap, so that need not be the last one enqueued: a write that
+    // loses its prepares retries and may commit after a later one.
     let mut h = lossy_cluster(0.0, 0.0, 74);
     let suite = h.suite_id();
     let client = h.default_client();
     let mut expected = 0u64;
+    let mut newest = Vec::new();
     for phase in 0..3u32 {
         h.set_duplicate_prob(if phase == 1 { 0.6 } else { 0.0 });
         // Overlapping traffic: enqueue a burst without waiting in between,
@@ -95,6 +99,9 @@ fn duplication_dialed_in_mid_run_never_double_applies_a_write() {
         }
         h.run_until_quiet(2_000_000);
         for op in h.drain_completed(client) {
+            // A retry keeps its operation's start instant, which names
+            // the burst slot and so the payload.
+            let slot = (op.started.since(start).as_millis_f64() / 40.0).round();
             let ok = op.outcome.expect("no loss: writes must commit");
             expected += 1;
             assert_eq!(
@@ -102,13 +109,14 @@ fn duplication_dialed_in_mid_run_never_double_applies_a_write() {
                 Version(expected),
                 "phase {phase}: a duplicate was applied twice or a write was lost"
             );
+            newest = payload(phase, slot as u32);
         }
     }
     let dup = h.net_stats().duplicated;
     assert!(dup > 20, "duplication was actually exercised: {dup}");
     let r = h.read(suite).expect("final read");
     assert_eq!(r.version, Version(expected));
-    assert_eq!(r.value, payload(2, 3));
+    assert_eq!(r.value, newest);
 }
 
 fn payload(phase: u32, i: u32) -> Vec<u8> {

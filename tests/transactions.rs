@@ -124,3 +124,46 @@ fn transaction_versions_advance_in_lockstep_with_single_writes() {
     assert_eq!(versions[&ObjectId(1)], Version(2));
     assert_eq!(versions[&ObjectId(2)], Version(1));
 }
+
+#[test]
+fn transaction_refreshes_the_stale_config_of_its_non_primary_suite() {
+    // Two clients; the first reconfigures suite 2 behind the second's
+    // back. The second's transaction leads with suite 1 (its primary),
+    // so the stale generation it meets belongs to the other suite: the
+    // refresh must fetch *that* suite's configuration, or every retry
+    // meets the same stale generation until the attempt budget runs out.
+    let mut h = HarnessBuilder::new()
+        .seed(4)
+        .site(SiteSpec::server(1))
+        .site(SiteSpec::server(1))
+        .site(SiteSpec::server(1))
+        .client()
+        .client()
+        .quorum(QuorumSpec::majority(3))
+        .suites([ObjectId(1), ObjectId(2)])
+        .build()
+        .expect("legal");
+    let (admin, late) = (h.clients()[0], h.clients()[1]);
+    h.reconfigure_from(
+        admin,
+        ObjectId(2),
+        VoteAssignment::new([(SiteId(0), 2), (SiteId(1), 1), (SiteId(2), 1)]),
+        QuorumSpec::new(3, 2),
+    )
+    .expect("reconfigure");
+    let t = h
+        .transaction(
+            late,
+            vec![
+                (ObjectId(1), b"tx-a".to_vec()),
+                (ObjectId(2), b"tx-b".to_vec()),
+            ],
+        )
+        .expect("the transaction adopts suite 2's configuration and commits");
+    assert_eq!(t.attempts, 2, "one refresh, then the commit");
+    assert_eq!(h.client_stats(late).expect("client").config_refreshes, 1);
+    let versions: std::collections::HashMap<_, _> = t.versions.into_iter().collect();
+    assert_eq!(versions[&ObjectId(1)], Version(1));
+    // The reconfiguration consumed suite 2's first data version.
+    assert_eq!(versions[&ObjectId(2)], Version(2));
+}
