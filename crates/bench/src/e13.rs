@@ -401,9 +401,9 @@ pub fn run_with(ops_per_client: usize) -> String {
     out.push_str(&format!(
         "Inside a live lease the probe averaged **{lease_worst:.2}** \
          messages per read — the reads themselves are fully quorum-free \
-         until the TTL lapses; any residue is commit-ack resend chatter \
-         trailing the window's writes, not read traffic (≤0.1 per read \
-         required: **{}**).\n\n",
+         until the TTL lapses; any residue is Commit/Ack traffic trailing \
+         the window's writes, not read traffic (≤0.1 per read required: \
+         **{}**).\n\n",
         if lease_quorum_free { "yes" } else { "NO" }
     ));
     let speedup = DEPTHS

@@ -70,8 +70,6 @@ pub struct Coverage {
     pub ops_ok: u64,
     /// Operations that failed `Unavailable` (quorum-blocked).
     pub quorum_blocked: u64,
-    /// Operations that ended in doubt.
-    pub indeterminate: u64,
     /// Phase timeouts across all clients and trials.
     pub timeouts: u64,
     /// Attempt retries across all clients and trials.
@@ -143,7 +141,6 @@ impl Coverage {
         self.ops_total += c.ops_ok + c.ops_failed;
         self.ops_ok += c.ops_ok;
         self.quorum_blocked += c.quorum_blocked;
-        self.indeterminate += c.indeterminate;
         self.timeouts += c.timeouts;
         self.retries += c.retries;
         self.attempts_exhausted += c.attempts_exhausted;

@@ -59,8 +59,6 @@ pub struct TrialCoverage {
     /// Operations that failed `Unavailable` — a quorum could not be
     /// assembled (the paper's "blocked" outcome).
     pub quorum_blocked: u64,
-    /// Operations that ended `Indeterminate`.
-    pub indeterminate: u64,
     /// Operations that failed for any reason.
     pub ops_failed: u64,
     /// Operations that succeeded.
@@ -561,10 +559,8 @@ fn run_schedule_inner(
             Ok(_) => coverage.ops_ok += 1,
             Err(e) => {
                 coverage.ops_failed += 1;
-                match e {
-                    OpError::Unavailable { .. } => coverage.quorum_blocked += 1,
-                    OpError::Indeterminate => coverage.indeterminate += 1,
-                    _ => {}
+                if let OpError::Unavailable { .. } = e {
+                    coverage.quorum_blocked += 1;
                 }
             }
         }

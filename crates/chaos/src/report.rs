@@ -192,10 +192,6 @@ pub fn run(trials: usize) -> E9Output {
         "operations quorum-blocked".into(),
         c.quorum_blocked.to_string(),
     ]);
-    t.row(&[
-        "operations ending in doubt".into(),
-        c.indeterminate.to_string(),
-    ]);
     t.row(&["phase timeouts".into(), c.timeouts.to_string()]);
     t.row(&["attempt retries".into(), c.retries.to_string()]);
     t.row(&[
@@ -492,10 +488,6 @@ pub fn run(trials: usize) -> E9Output {
         m.cross_suite_txns.to_string(),
     ]);
     t.row(&["operations committed".into(), m.ops_ok.to_string()]);
-    t.row(&[
-        "operations ending in doubt".into(),
-        m.indeterminate.to_string(),
-    ]);
     t.row(&["phase timeouts".into(), m.timeouts.to_string()]);
     out.push_str(&t.to_markdown());
     out.push('\n');

@@ -12,6 +12,9 @@
 //!   cheapest write quorum. The commit decision is logged durably before
 //!   any commit message leaves, so recovering participants always get a
 //!   correct answer to their decision probes (presumed abort otherwise).
+//!   The write completes at that decision; its commit round runs on
+//!   outside the operation, resending the decision until every
+//!   participant acks.
 //! * **Transaction**: inquiry on every suite it touches, then one
 //!   two-phase commit installing each suite's next version at its write
 //!   quorum, atomically.
@@ -59,7 +62,9 @@ pub struct ClientOptions {
     pub backoff_cap: SimDuration,
     /// Attempts per operation before reporting failure.
     pub max_attempts: u32,
-    /// Commit resend rounds before reporting [`OpError::Indeterminate`].
+    /// Commit resend rounds before a decided operation's commit round is
+    /// abandoned; participants still in doubt then learn the durable
+    /// decision from their own decision probes.
     pub commit_resend_limit: u32,
     /// After a successful read fetched from elsewhere, refresh the weak
     /// representative co-located with this client.
@@ -345,13 +350,6 @@ enum Phase {
         participants: Vec<SiteId>,
         yes: BTreeSet<SiteId>,
     },
-    /// Commit decided, waiting for every participant's ack.
-    CommitWait {
-        versions: Vec<(ObjectId, Version)>,
-        participants: Vec<SiteId>,
-        acked: BTreeSet<SiteId>,
-        resends: u32,
-    },
     RefreshConfig,
     /// Cache-tier read waiting on another read's in-flight version
     /// inquiry for the same suite (the piggybacked/coalesced inquiry).
@@ -409,6 +407,20 @@ struct Survey {
     value: Bytes,
 }
 
+/// The commit round of a decided mutation. The operation itself completed
+/// when the decision was logged; this only carries the decision to every
+/// participant, resending it to the silent ones.
+struct CommitRound {
+    suite: ObjectId,
+    participants: Vec<SiteId>,
+    acked: BTreeSet<SiteId>,
+    resends: u32,
+    /// The commit span and its open per-site ack spans; `None` unless
+    /// tracing. The span outlives the op's root, so critical paths leave
+    /// it out.
+    trace: Option<(SpanId, Vec<(SiteId, SpanId)>)>,
+}
+
 /// Span bookkeeping for one traced operation. Lives inside [`OpState`] so
 /// it follows the operation across retries (which change the request id).
 /// `None` whenever tracing is disabled — the untraced path allocates and
@@ -422,10 +434,10 @@ struct OpTrace {
     suite: u64,
     /// The root span, open from start to completion.
     root: SpanId,
-    /// The current phase span (inquiry / fetch / prepare / commit).
+    /// The current phase span (inquiry / fetch / prepare).
     phase: Option<SpanId>,
     /// Open per-site request/response spans of the current phase
-    /// (version inquiries, prepares, commit acks).
+    /// (version inquiries, prepares).
     rpcs: Vec<(SiteId, SpanId)>,
     /// Open content-fetch legs: the optimistic fetch, the current fetch
     /// candidate, and any hedge — closed by the `ReadResp` they provoke.
@@ -437,7 +449,6 @@ fn op_err_outcome(err: &OpError) -> SpanOutcome {
     match err {
         OpError::Conflict => SpanOutcome::Conflict,
         OpError::Unavailable { .. } => SpanOutcome::Timeout,
-        OpError::Indeterminate => SpanOutcome::Timeout,
         _ => SpanOutcome::Err,
     }
 }
@@ -451,6 +462,9 @@ enum TimerKind {
     /// hedged request timing out alongside the original — can never reach
     /// the timeout bookkeeping and double-count `ClientStats::timeouts`.
     Hedge,
+    /// A commit round's acks are overdue: resend the decision. Keyed by
+    /// the decided request in [`ClientNode::commits`], not by an op.
+    CommitResend,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -534,6 +548,8 @@ pub struct ClientNode {
     /// Durable commit-decision log (presumed abort for anything absent).
     decisions: Container,
     decided_commit: BTreeSet<ReqId>,
+    /// Commit rounds still collecting acks, by decided request id.
+    commits: HashMap<ReqId, CommitRound>,
     /// Finished operations, in completion order. Harnesses drain this.
     pub completed: Vec<CompletedOp>,
     /// Counters.
@@ -680,6 +696,7 @@ impl ClientNode {
             inquiry_leaders: HashMap::new(),
             decisions: Container::new(),
             decided_commit: BTreeSet::new(),
+            commits: HashMap::new(),
             completed: Vec::new(),
             stats: ClientStats::default(),
             tracer: None,
@@ -952,6 +969,36 @@ impl ClientNode {
             0,
             now,
         );
+    }
+
+    /// Opens a decided op's commit span under its root, with one ack span
+    /// per participant. The op completes right after, so the span runs on
+    /// past the root's end.
+    fn trace_commit_round(
+        &mut self,
+        req: ReqId,
+        participants: &[SiteId],
+        now: SimTime,
+    ) -> Option<(SpanId, Vec<(SiteId, SpanId)>)> {
+        let tr = self.tracer.as_mut()?;
+        let t = self.ops.get(&req)?.trace.as_ref()?;
+        let span = tr.start(SpanKind::Commit, t.suite, t.op, Some(t.root), None, 0, now);
+        let acks = participants
+            .iter()
+            .map(|site| {
+                let id = tr.start(
+                    SpanKind::Rpc,
+                    t.suite,
+                    t.op,
+                    Some(span),
+                    Some(site.0),
+                    0,
+                    now,
+                );
+                (*site, id)
+            })
+            .collect();
+        Some((span, acks))
     }
 
     /// Records an instantaneous cache-tier event (`CacheHit` on a local
@@ -1418,6 +1465,12 @@ impl ClientNode {
     /// Number of operations still in flight (launched or queued).
     pub fn in_flight(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Whether the commit round of the decided request `req` is still
+    /// collecting acks. The operation completed at the decision.
+    pub(crate) fn commit_in_flight(&self, req: ReqId) -> bool {
+        self.commits.contains_key(&req)
     }
 
     /// Number of submissions still waiting for a pipeline slot.
@@ -2903,28 +2956,16 @@ impl ClientNode {
                 self.decisions.commit(tx).expect("commit decision");
                 self.decided_commit.insert(req);
                 let delay = self.phase_delay(&participants);
-                let seq = {
+                let (op_suite, versions) = {
                     let st = self.ops.get_mut(&req).expect("op is live");
-                    st.seq += 1;
                     let Phase::Prepare { versions, .. } = &mut st.phase else {
                         unreachable!("checked above");
                     };
-                    st.phase = Phase::CommitWait {
-                        versions: std::mem::take(versions),
-                        participants: participants.clone(),
-                        acked: BTreeSet::new(),
-                        resends: 0,
-                    };
-                    st.seq
+                    (st.suite, std::mem::take(versions))
                 };
-                if self.tracer.is_some() {
-                    self.trace_decision_logged(req, ctx.now());
-                    self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
-                    self.trace_begin_phase(req, SpanKind::Commit, ctx.now());
-                    for site in &participants {
-                        self.trace_add_rpc(req, *site, ctx.now());
-                    }
-                }
+                self.trace_decision_logged(req, ctx.now());
+                self.trace_close_phase(req, ctx.now(), SpanOutcome::Ok);
+                let trace = self.trace_commit_round(req, &participants, ctx.now());
                 for site in &participants {
                     ctx.send(*site, Msg::Commit { suite, req });
                 }
@@ -2932,64 +2973,55 @@ impl ClientNode {
                     &mut self.timers,
                     &mut self.next_timer,
                     req,
-                    seq,
-                    TimerKind::PhaseTimeout,
+                    0,
+                    TimerKind::CommitResend,
                     delay,
                     ctx,
                 );
+                self.commits.insert(
+                    req,
+                    CommitRound {
+                        suite: op_suite,
+                        participants,
+                        acked: BTreeSet::new(),
+                        resends: 0,
+                        trace,
+                    },
+                );
+                self.finish_mutation(req, versions, ctx);
             }
         }
     }
 
-    fn on_ack(
+    /// Completes a mutation at its durable commit decision. The commit
+    /// round runs on without it: every read quorum holds a participant
+    /// that is prepared (and parks inquiries until its Commit lands) or
+    /// already committed, so no reader can see the old version.
+    fn finish_mutation(
         &mut self,
-        from: SiteId,
-        suite: ObjectId,
         req: ReqId,
-        committed: bool,
+        versions: Vec<(ObjectId, Version)>,
         ctx: &mut NodeCtx<'_, Msg>,
     ) {
-        if !committed {
-            return; // abort acks need no bookkeeping
-        }
-        self.trace_end_rpc(req, from, ctx.now(), SpanOutcome::Ok, 1);
-        let (version, adopt, push, multi) = {
-            let Some(st) = self.ops.get_mut(&req) else {
-                return;
-            };
-            let Phase::CommitWait {
-                versions,
-                participants,
-                acked,
-                ..
-            } = &mut st.phase
-            else {
-                return;
-            };
-            if !participants.contains(&from) {
-                return;
-            }
-            acked.insert(from);
-            if acked.len() < participants.len() {
-                return;
-            }
-            let adopt = st.new_config.take();
-            // A reconfiguration reports its new generation, a write or a
-            // transaction its (first) suite's new data version.
-            let version = adopt
-                .as_ref()
-                .map_or(versions[0].1, |c| Version(c.generation));
-            let push = (self.options.push_weak_on_write && st.kind == OpKind::Write)
-                .then(|| st.writes[0].1.clone());
-            // Transactions report every suite's version, and a
-            // reconfiguration the data version its bump consumed, so
-            // history checkers can account for them.
-            let multi = if st.kind == OpKind::Write {
-                Vec::new()
-            } else {
-                std::mem::take(versions)
-            };
-            (version, adopt, push, multi)
+        let Some(st) = self.ops.get_mut(&req) else {
+            return;
+        };
+        let suite = st.suite;
+        let adopt = st.new_config.take();
+        // A reconfiguration reports its new generation, a write or a
+        // transaction its (first) suite's new data version.
+        let version = adopt
+            .as_ref()
+            .map_or(versions[0].1, |c| Version(c.generation));
+        let push = (self.options.push_weak_on_write && st.kind == OpKind::Write)
+            .then(|| st.writes[0].1.clone());
+        // Transactions report every suite's version, and a
+        // reconfiguration the data version its bump consumed, so history
+        // checkers can account for them.
+        let multi = if st.kind == OpKind::Write {
+            Vec::new()
+        } else {
+            versions
         };
         // Adopt the configuration this operation just installed, and drop
         // the quorum plan built against the superseded one.
@@ -3030,6 +3062,76 @@ impl ClientNode {
         );
     }
 
+    fn on_ack(&mut self, from: SiteId, req: ReqId, committed: bool, now: SimTime) {
+        if !committed {
+            return; // abort acks need no bookkeeping
+        }
+        let Some(round) = self.commits.get_mut(&req) else {
+            return;
+        };
+        if !round.participants.contains(&from) {
+            return;
+        }
+        round.acked.insert(from);
+        if let (Some(tr), Some((_, acks))) = (self.tracer.as_mut(), round.trace.as_mut()) {
+            if let Some(pos) = acks.iter().position(|(s, _)| *s == from) {
+                tr.end_with_detail(acks.remove(pos).1, now, SpanOutcome::Ok, 1);
+            }
+        }
+        if round.acked.len() == round.participants.len() {
+            self.end_commit_round(req, now, SpanOutcome::Ok);
+        }
+    }
+
+    /// A commit round's acks are overdue: resend the decision to the
+    /// silent participants, or abandon the round once the resend budget is
+    /// spent (their decision probes still reach the durable log).
+    fn on_commit_timeout(&mut self, req: ReqId, ctx: &mut NodeCtx<'_, Msg>) {
+        let Some(round) = self.commits.get_mut(&req) else {
+            return;
+        };
+        self.stats.timeouts += 1;
+        let missing: Vec<SiteId> = round
+            .participants
+            .iter()
+            .copied()
+            .filter(|s| !round.acked.contains(s))
+            .collect();
+        let give_up = round.resends >= self.options.commit_resend_limit;
+        round.resends += 1;
+        let suite = round.suite;
+        self.note_unanswered(&missing);
+        if give_up {
+            self.end_commit_round(req, ctx.now(), SpanOutcome::Timeout);
+            return;
+        }
+        for site in missing {
+            ctx.send(site, Msg::Commit { suite, req });
+        }
+        arm_timer(
+            &mut self.timers,
+            &mut self.next_timer,
+            req,
+            0,
+            TimerKind::CommitResend,
+            self.options.phase_timeout,
+            ctx,
+        );
+    }
+
+    /// Drops a finished commit round, closing its spans with `outcome`.
+    fn end_commit_round(&mut self, req: ReqId, now: SimTime, outcome: SpanOutcome) {
+        let Some(round) = self.commits.remove(&req) else {
+            return;
+        };
+        if let (Some(tr), Some((span, acks))) = (self.tracer.as_mut(), round.trace) {
+            for (_, id) in acks {
+                tr.end(id, now, outcome);
+            }
+            tr.end(span, now, outcome);
+        }
+    }
+
     fn on_config_resp(
         &mut self,
         suite: ObjectId,
@@ -3068,8 +3170,6 @@ impl ClientNode {
             FailUnavailable(OpKind),
             NextCandidate,
             AbortAndFail(Vec<SiteId>, ObjectId, OpKind),
-            ResendCommit(Vec<SiteId>, ObjectId, u64),
-            GiveUpIndeterminate,
         }
         let (next, silent) = {
             let Some(st) = self.ops.get_mut(&req) else {
@@ -3131,25 +3231,6 @@ impl ClientNode {
                         silent,
                     )
                 }
-                Phase::CommitWait {
-                    participants,
-                    acked,
-                    resends,
-                    ..
-                } => {
-                    let missing: Vec<SiteId> = participants
-                        .iter()
-                        .copied()
-                        .filter(|s| !acked.contains(s))
-                        .collect();
-                    if *resends >= self.options.commit_resend_limit {
-                        (Next::GiveUpIndeterminate, missing)
-                    } else {
-                        *resends += 1;
-                        st.seq += 1;
-                        (Next::ResendCommit(missing.clone(), suite, st.seq), missing)
-                    }
-                }
             }
         };
         self.note_unanswered(&silent);
@@ -3167,21 +3248,6 @@ impl ClientNode {
                 }
                 self.fail_attempt(req, OpError::Unavailable { kind }, ctx);
             }
-            Next::ResendCommit(missing, suite, seq) => {
-                for site in missing {
-                    ctx.send(site, Msg::Commit { suite, req });
-                }
-                arm_timer(
-                    &mut self.timers,
-                    &mut self.next_timer,
-                    req,
-                    seq,
-                    TimerKind::PhaseTimeout,
-                    self.options.phase_timeout,
-                    ctx,
-                );
-            }
-            Next::GiveUpIndeterminate => self.complete(req, Err(OpError::Indeterminate), ctx),
         }
     }
 
@@ -3260,11 +3326,7 @@ impl ClientNode {
             Msg::PrepareVote { suite, req, vote } => {
                 self.on_prepare_vote(from, suite, req, vote, ctx)
             }
-            Msg::Ack {
-                suite,
-                req,
-                committed,
-            } => self.on_ack(from, suite, req, committed, ctx),
+            Msg::Ack { req, committed, .. } => self.on_ack(from, req, committed, ctx.now()),
             Msg::StaleConfig { suite, req, .. } => self.enter_refresh(req, suite, from, ctx),
             Msg::ConfigResp { suite, req, config } => self.on_config_resp(suite, req, config, ctx),
             Msg::DecisionReq { suite, req } => {
@@ -3300,24 +3362,29 @@ impl ClientNode {
         let Some(entry) = self.timers.remove(&token) else {
             return;
         };
-        let Some(st) = self.ops.get(&entry.req) else {
-            return;
-        };
-        if st.seq != entry.seq {
-            return; // stale timer from a finished phase
-        }
+        // An op timer set by a phase (or an op) that has since moved on is
+        // stale; a commit round's timer finds its round or nothing.
+        let live = self
+            .ops
+            .get(&entry.req)
+            .is_some_and(|st| st.seq == entry.seq);
         match entry.kind {
+            TimerKind::CommitResend => self.on_commit_timeout(entry.req, ctx),
+            _ if !live => {}
             TimerKind::Retry => self.begin_attempt(entry.req, ctx),
             TimerKind::PhaseTimeout => self.on_phase_timeout(entry.req, ctx),
             TimerKind::Hedge => self.on_hedge(entry.req, ctx),
         }
     }
 
-    /// Crash: in-flight operations are lost; the decision log survives.
-    /// The attached weak representative is volatile — a recovered client
-    /// restarts with a cold cache and no leases.
+    /// Crash: in-flight operations and commit rounds are lost; the
+    /// decision log survives, and participants still in doubt recover the
+    /// decision through their probes. The attached weak representative is
+    /// volatile — a recovered client restarts with a cold cache and no
+    /// leases.
     pub fn handle_crash(&mut self) {
         self.ops.clear();
+        self.commits.clear();
         self.timers.clear();
         self.queue.clear();
         self.active = 0;
@@ -3526,7 +3593,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|(_, m)| matches!(m, Msg::Commit { .. })));
         assert!(c.decided_commit.contains(&req));
-        // Acks complete the op.
+        // The op completed at the decision; the acks end its commit round.
         for s in 0..2u16 {
             let mut ctx = NodeCtx::new(SimTime::from_millis(30), CLIENT, &mut rng);
             c.handle(
@@ -3539,9 +3606,109 @@ mod tests {
                 &mut ctx,
             );
         }
+        assert!(!c.commit_in_flight(req), "every participant acked");
         assert_eq!(c.completed.len(), 1);
         let ok = c.completed[0].outcome.as_ref().expect("success");
         assert_eq!(ok.version, Version(1));
+    }
+
+    #[test]
+    fn write_completes_once_at_the_decision_and_frees_its_slot() {
+        let mut c = ClientNode::new(
+            CLIENT,
+            vec![config()],
+            vec![10.0, 20.0, 30.0, 1.0],
+            ClientOptions {
+                pipeline_depth: Some(1),
+                ..ClientOptions::default()
+            },
+        );
+        let mut rng = DetRng::new(16);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, CLIENT, &mut rng);
+        let req = c.start_write(SUITE, &b"new"[..], &mut ctx);
+        let read = c.start_read(SUITE, &mut ctx);
+        let _ = effects(&mut ctx);
+        assert_eq!(c.queued(), 1, "window full: the read waits");
+        for s in 0..2u16 {
+            let mut ctx = NodeCtx::new(SimTime::from_millis(5), CLIENT, &mut rng);
+            c.handle(SiteId(s), version_resp(SUITE, req), &mut ctx);
+            let _ = effects(&mut ctx);
+        }
+        let vote = |c: &mut ClientNode, rng: &mut DetRng, site: u16, at: u64| {
+            let mut ctx = NodeCtx::new(SimTime::from_millis(at), CLIENT, rng);
+            let yes = Msg::PrepareVote {
+                suite: SUITE,
+                req,
+                vote: Vote::Yes,
+            };
+            c.handle(SiteId(site), yes, &mut ctx);
+            split_effects(&mut ctx)
+        };
+        let commit_timer = |c: &ClientNode, timers: &[(SimDuration, u64)]| {
+            timers
+                .iter()
+                .map(|(_, token)| *token)
+                .find(|token| matches!(c.timers[token].kind, TimerKind::CommitResend))
+        };
+        let ack = |c: &mut ClientNode, rng: &mut DetRng, site: u16| {
+            let mut ctx = NodeCtx::new(SimTime::from_millis(30), CLIENT, rng);
+            let msg = Msg::Ack {
+                suite: SUITE,
+                req,
+                committed: true,
+            };
+            c.handle(SiteId(site), msg, &mut ctx);
+            effects(&mut ctx)
+        };
+        let (sends, _) = vote(&mut c, &mut rng, 0, 20);
+        assert!(sends.is_empty() && c.completed.is_empty(), "undecided");
+        // The second yes decides: the write completes in this turn, before
+        // any ack, and its freed slot launches the queued read.
+        let (sends, timers) = vote(&mut c, &mut rng, 1, 21);
+        assert_eq!(c.completed.len(), 1);
+        let done = &c.completed[0];
+        assert_eq!((done.req, done.finished), (req, SimTime::from_millis(21)));
+        assert_eq!(done.outcome.as_ref().expect("ok").version, Version(1));
+        let commits: Vec<SiteId> = sends
+            .iter()
+            .filter(|(_, m)| matches!(m, Msg::Commit { .. }))
+            .map(|(to, _)| *to)
+            .collect();
+        assert_eq!(commits, vec![SiteId(0), SiteId(1)]);
+        assert!(sends
+            .iter()
+            .any(|(_, m)| matches!(m, Msg::VersionReq { req, .. } if *req == read)));
+        assert_eq!(c.queued(), 0);
+        assert!(c.commit_in_flight(req));
+        // Site 0 acks; every resend then goes to site 1 alone, until the
+        // limit abandons the round. None of it completes anything.
+        assert!(ack(&mut c, &mut rng, 0).is_empty());
+        let mut token = commit_timer(&c, &timers).expect("commit resend armed");
+        for round in 0..=c.options.commit_resend_limit {
+            let mut ctx = NodeCtx::new(SimTime::from_secs(u64::from(round) + 1), CLIENT, &mut rng);
+            c.handle_timer(token, &mut ctx);
+            let (sends, timers) = split_effects(&mut ctx);
+            if round < c.options.commit_resend_limit {
+                assert!(
+                    matches!(&sends[..], [(SiteId(1), Msg::Commit { req: r, .. })] if *r == req)
+                );
+                token = commit_timer(&c, &timers).expect("re-armed");
+            } else {
+                assert!(sends.is_empty() && timers.is_empty(), "abandoned");
+            }
+            assert_eq!(c.completed.len(), 1);
+        }
+        assert!(!c.commit_in_flight(req));
+        // A late ack, a duplicate, and a decision probe after that.
+        assert!(ack(&mut c, &mut rng, 1).is_empty());
+        assert!(ack(&mut c, &mut rng, 1).is_empty());
+        let mut ctx = NodeCtx::new(SimTime::from_secs(9), CLIENT, &mut rng);
+        c.handle(SiteId(1), Msg::DecisionReq { suite: SUITE, req }, &mut ctx);
+        assert!(matches!(
+            &effects(&mut ctx)[..],
+            [(SiteId(1), Msg::Commit { .. })]
+        ));
+        assert_eq!(c.completed.len(), 1, "exactly one completion");
     }
 
     #[test]

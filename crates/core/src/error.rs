@@ -29,9 +29,11 @@ pub enum OpError {
     /// The operation lost repeatedly to concurrent writers (every attempt
     /// was killed by lock conflict or version race).
     Conflict,
-    /// A commit decision was reached but not every quorum member
-    /// acknowledged installation before the retry budget ran out. The
-    /// write may be durable; the caller must not assume either way.
+    /// The outcome is unknown: the write may be durable, and the caller
+    /// must not assume either way. [`crate::client::ClientNode`] never
+    /// reports it, since a mutation completes at its durable commit
+    /// decision; history checkers still classify an operation with no
+    /// known outcome this way.
     Indeterminate,
     /// The requested configuration is illegal.
     IllegalConfig(QuorumError),

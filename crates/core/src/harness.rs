@@ -637,7 +637,8 @@ impl Harness {
         self.write(suite, value)
     }
 
-    /// Starts an operation and steps the simulation until it completes.
+    /// Starts an operation and steps the simulation until it completes
+    /// and, for a mutation, until its commit round has drained.
     fn run_op(
         &mut self,
         client: SiteId,
@@ -676,10 +677,20 @@ impl Harness {
                 });
             }
         }
-        let c = self.sim.world.nodes[client.index()]
+        let done = self.sim.world.nodes[client.index()]
             .as_client_mut()
-            .expect("client exists");
-        Ok(c.completed.remove(before))
+            .expect("client exists")
+            .completed
+            .remove(before);
+        // A mutation completes at its durable commit decision. Keep
+        // stepping until its commit round has drained, so the participants
+        // hold the install by the time this returns.
+        while self
+            .client_ref(client)
+            .is_some_and(|c| c.commit_in_flight(done.req))
+            && self.sim.step()
+        {}
+        Ok(done)
     }
 
     fn client_ref(&self, site: SiteId) -> Option<&ClientNode> {

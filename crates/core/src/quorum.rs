@@ -2,10 +2,18 @@
 //!
 //! Legality is the paper's rule: `r + w > N` (every read quorum intersects
 //! every write quorum in at least one strong representative) and
-//! `1 <= r, w <= N`. Write–write serialisation comes from the transaction
-//! system — a writer reads the current version number under lock inside
-//! the same transaction that installs the new version, and `r + w > N`
-//! puts that read in conflict with every concurrent writer's install set.
+//! `1 <= r, w <= N`.
+//!
+//! In the paper a writer reads the current version number under a lock
+//! inside the transaction that installs the next one, and `r + w > N` puts
+//! that read in conflict with every concurrent writer's install set. Here
+//! version inquiries take no lock: a server holding a prepared write parks
+//! them until it commits or aborts, but nothing is held between a writer's
+//! inquiry and its prepare. Two writers are serialised only where their
+//! write quorums meet, by the exclusive commit lock and the prepare's
+//! check that the staged version is newer than the committed one. So
+//! writes are serialised when `2w > N`; when `2w <= N`, two writers can
+//! both read version `v` and install `v + 1` on disjoint write quorums.
 
 use wv_net::SiteId;
 

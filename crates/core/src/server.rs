@@ -1216,7 +1216,17 @@ impl SuiteServer {
                     }
                 }
                 if self.pending.contains_key(&req) {
-                    // Duplicate prepare (network duplication); re-vote yes.
+                    // Duplicate prepare (network duplication); re-vote yes,
+                    // unless the first copy's yes still waits for the
+                    // group-commit sync: its prepare record is volatile, so
+                    // only that deferred vote may answer, once it is durable.
+                    let deferred = self
+                        .sync_queue
+                        .iter()
+                        .any(|d| matches!(d, Deferred::Vote { req: r, .. } if *r == req));
+                    if deferred {
+                        return;
+                    }
                     self.note_serving();
                     self.stats.votes_yes += 1;
                     ctx.send(
@@ -2597,6 +2607,56 @@ mod tests {
         assert_eq!(s.stats.commits, 1);
         let h = s.metrics().histogram("wal_batch_size").expect("recorded");
         assert_eq!(h.len(), 2);
+    }
+
+    #[test]
+    fn duplicate_prepare_before_the_sync_never_votes_for_a_volatile_record() {
+        let mut s = gc_server();
+        let mut rng = DetRng::new(44);
+        let r = req(1);
+        for _ in 0..2 {
+            let mut ctx = ctx_pair(&mut rng);
+            s.handle(CLIENT, prepare_msg(r, 1, b"new"), &mut ctx);
+            assert!(sent(&mut ctx).is_empty(), "no vote before the sync");
+        }
+        let yes = |out: &[(SiteId, Msg)]| {
+            out.iter()
+                .filter(|(_, m)| {
+                    matches!(
+                        m,
+                        Msg::PrepareVote {
+                            vote: Vote::Yes,
+                            ..
+                        }
+                    )
+                })
+                .count()
+        };
+        assert_eq!(yes(&fire_sync(&mut s, &mut rng)), 1, "one durable yes");
+        assert_eq!(s.stats.votes_yes, 1);
+        // Once durable, a later duplicate re-votes at once.
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle(CLIENT, prepare_msg(r, 1, b"new"), &mut ctx);
+        assert_eq!(yes(&sent(&mut ctx)), 1);
+
+        // A crash before the sync: no yes ever left, and the volatile
+        // prepare record is gone after recovery.
+        let mut s = gc_server();
+        for _ in 0..2 {
+            let mut ctx = ctx_pair(&mut rng);
+            s.handle(CLIENT, prepare_msg(r, 1, b"new"), &mut ctx);
+            assert!(sent(&mut ctx).is_empty(), "no vote before the sync");
+        }
+        let stale_sync = WAL_SYNC_TIMER_TAG | s.sync_epoch;
+        s.handle_crash();
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_recover(&mut ctx);
+        assert_eq!(yes(&sent(&mut ctx)), 0);
+        let mut ctx = ctx_pair(&mut rng);
+        s.handle_timer(stale_sync, &mut ctx);
+        assert_eq!(yes(&sent(&mut ctx)), 0, "the orphaned sync sends nothing");
+        assert_eq!(s.stats.votes_yes, 0);
+        assert_eq!(s.pending_writes(), 0);
     }
 
     #[test]
